@@ -9,7 +9,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/short_flow_model.hpp"
 #include "experiment/long_flow_experiment.hpp"
@@ -29,6 +31,17 @@ std::uint64_t fnv1a(const std::string& s) {
     h *= 1099511628211ull;
   }
   return h;
+}
+
+/// FNV of a value sequence written in exact (hexfloat) form.
+std::uint64_t fnv1a(const std::vector<double>& values) {
+  std::string text;
+  char buf[32];
+  for (const double v : values) {
+    std::snprintf(buf, sizeof buf, "%a,", v);
+    text += buf;
+  }
+  return fnv1a(text);
 }
 
 TEST(Golden, SingleFlowRuleOfThumbUtilization) {
@@ -183,6 +196,180 @@ TEST(Golden, NoFaultMixedFlowRunIsBitwiseIdenticalToPreFaultBaseline) {
   EXPECT_EQ(r.long_flow_throughput_bps, 0x1.a1a08p+23);
   EXPECT_EQ(r.short_flows_completed, 171u);
   EXPECT_EQ(r.fault_drops, 0u);
+}
+
+// --- Full-surface pins ---------------------------------------------------
+//
+// Checked runs with a fault schedule, metrics and flow stats all on: the
+// configuration that exercises every shared step of a dumbbell run (fault
+// injector, auditor, warm-up reset, samplers, convergence detector,
+// per-flow harvest). Each pin hashes the metrics snapshot, the time series
+// and the flow-stats rollup, plus exact headline numbers, and must hold
+// under both scheduler backends.
+
+const sim::SchedulerBackend kBothBackends[] = {sim::SchedulerBackend::kHeap,
+                                               sim::SchedulerBackend::kWheel};
+
+template <class Config>
+void arm_full_surface(Config& cfg, sim::SchedulerBackend backend) {
+  cfg.scheduler_backend = backend;
+  cfg.checked = true;
+  cfg.telemetry.metrics = true;
+  cfg.telemetry.flow_stats = true;
+  cfg.faults.link_down("bottleneck_fwd", SimTime::milliseconds(2500),
+                       SimTime::milliseconds(100));
+  cfg.faults.loss_burst("bottleneck_fwd", SimTime::milliseconds(3200),
+                        SimTime::milliseconds(300), 0.2);
+}
+
+struct SurfaceHashes {
+  std::uint64_t snapshot;
+  std::uint64_t series;
+  std::uint64_t flow_stats;
+};
+
+void expect_surface(const experiment::TelemetryResult& t, const SurfaceHashes& want) {
+  EXPECT_EQ(fnv1a(t.snapshot.to_json()), want.snapshot);
+  EXPECT_EQ(fnv1a(t.series.to_csv()), want.series);
+  EXPECT_EQ(fnv1a(t.flow_stats.to_json()), want.flow_stats);
+}
+
+experiment::LongFlowExperimentConfig pinned_long(sim::SchedulerBackend backend) {
+  experiment::LongFlowExperimentConfig cfg;
+  cfg.num_flows = 12;
+  cfg.buffer_packets = 40;
+  cfg.bottleneck_rate = core::BitsPerSec{20e6};
+  cfg.warmup = SimTime::seconds(2);
+  cfg.measure = SimTime::seconds(4);
+  cfg.seed = 5;
+  cfg.record_delays = true;
+  cfg.cwnd_sample_interval = SimTime::milliseconds(50);
+  cfg.sample_per_flow_cwnd = true;
+  arm_full_surface(cfg, backend);
+  return cfg;
+}
+
+experiment::ShortFlowExperimentConfig pinned_short(sim::SchedulerBackend backend) {
+  experiment::ShortFlowExperimentConfig cfg;
+  cfg.bottleneck_rate = core::BitsPerSec{20e6};
+  cfg.buffer_packets = 40;
+  cfg.load = 0.7;
+  cfg.flow_packets = 30;
+  cfg.num_leaves = 20;
+  cfg.warmup = SimTime::seconds(2);
+  cfg.measure = SimTime::seconds(4);
+  cfg.seed = 9;
+  arm_full_surface(cfg, backend);
+  return cfg;
+}
+
+TEST(GoldenPin, LongFlowFullSurface) {
+  for (const auto backend : kBothBackends) {
+    SCOPED_TRACE(static_cast<int>(backend));
+    const auto r = run_long_flow_experiment(pinned_long(backend));
+    EXPECT_EQ(r.utilization, 0x1.3cac083126e98p-1);
+    EXPECT_EQ(r.loss_rate, 0x1.c74106598a2afp-6);
+    EXPECT_EQ(r.mean_queue_packets, 0x1.d3ffffffffffep+2);
+    EXPECT_EQ(r.delay_p99_sec, 0x1.09df259db0cbbp-6);
+    EXPECT_EQ(r.fairness, 0x1.b52c940207fe7p-1);
+    EXPECT_EQ(r.tcp_stats.data_packets_sent, 6521u);
+    EXPECT_EQ(r.tcp_stats.retransmissions, 1143u);
+    EXPECT_EQ(r.tcp_stats.acks_received, 6136u);
+    EXPECT_EQ(r.fault_drops, 190u);
+    EXPECT_EQ(fnv1a(r.total_cwnd.values()), 10679709854566105333ull);
+    ASSERT_EQ(r.per_flow_cwnd.size(), 12u);
+    EXPECT_EQ(fnv1a(r.per_flow_cwnd[7]), 7856232149316561169ull);
+    expect_surface(r.telemetry,
+                   {6102300626733119187ull, 15442783162632245649ull, 6801356680487028519ull});
+  }
+}
+
+TEST(GoldenPin, ShortFlowFullSurface) {
+  for (const auto backend : kBothBackends) {
+    SCOPED_TRACE(static_cast<int>(backend));
+    const auto r = run_short_flow_experiment(pinned_short(backend));
+    EXPECT_EQ(r.afct_seconds, 0x1.1196c207b39d2p-1);
+    EXPECT_EQ(r.utilization, 0x1.599999999999ap-1);
+    EXPECT_EQ(r.drop_probability, 0x1.662f5e1ae889ep-6);
+    EXPECT_EQ(r.mean_queue_packets, 0x1.14474538ef35ap+3);
+    EXPECT_EQ(r.flows_completed, 202u);
+    EXPECT_EQ(r.fault_drops, 193u);
+    EXPECT_EQ(fnv1a(r.queue_tail), 13738830173313446984ull);
+    expect_surface(r.telemetry,
+                   {5628606704096095616ull, 12923636940347988830ull, 2193699363003755930ull});
+  }
+}
+
+TEST(GoldenPin, MixedFlowFullSurface) {
+  for (const auto backend : kBothBackends) {
+    SCOPED_TRACE(static_cast<int>(backend));
+    experiment::MixedFlowExperimentConfig cfg;
+    cfg.bottleneck_rate = core::BitsPerSec{20e6};
+    cfg.num_long_flows = 6;
+    cfg.num_short_leaves = 10;
+    cfg.buffer_packets = 40;
+    cfg.short_flow_load = 0.2;
+    cfg.short_sizing = experiment::ShortFlowSizing::kPareto;
+    cfg.pareto_max_packets = 300;
+    cfg.udp_load = 0.05;
+    cfg.warmup = SimTime::seconds(2);
+    cfg.measure = SimTime::seconds(4);
+    cfg.seed = 4;
+    arm_full_surface(cfg, backend);
+    const auto r = run_mixed_flow_experiment(cfg);
+    EXPECT_EQ(r.utilization, 0x1.61d7dbf487fccp-1);
+    EXPECT_EQ(r.afct_seconds, 0x1.18c923bd52f5p-2);
+    EXPECT_EQ(r.long_flow_throughput_bps, 0x1.d4818p+22);
+    EXPECT_EQ(r.drop_probability, 0x1.42fc7a6d48a67p-6);
+    EXPECT_EQ(r.mean_queue_packets, 0x1.f23d70a3d70abp+2);
+    EXPECT_EQ(r.short_flows_completed, 259u);
+    EXPECT_EQ(r.fault_drops, 434u);
+    expect_surface(r.telemetry,
+                   {8830675566079810873ull, 12086126401124531532ull, 12435606312255177659ull});
+  }
+}
+
+// Early exit: short, loose detector windows latch at t = 5 s, well inside
+// the 10 s window, so these runs really stop early (convergence.truncated =
+// 1 is part of the hashed snapshot).
+
+template <class Config>
+void arm_early_exit(Config& cfg) {
+  cfg.measure = SimTime::seconds(10);
+  cfg.convergence_early_exit = true;
+  cfg.convergence.window_samples = 5;
+  cfg.convergence.stable_windows = 2;
+  cfg.convergence.utilization_tolerance = 0.1;
+  cfg.convergence.qlen_tolerance = 1.0;
+  cfg.convergence.drop_rate_tolerance = 1.0;
+}
+
+TEST(GoldenPin, LongFlowEarlyExit) {
+  for (const auto backend : kBothBackends) {
+    SCOPED_TRACE(static_cast<int>(backend));
+    auto cfg = pinned_long(backend);
+    arm_early_exit(cfg);
+    const auto r = run_long_flow_experiment(cfg);
+    EXPECT_EQ(r.utilization, 0x1.4e302697ea84dp-1);
+    EXPECT_EQ(r.loss_rate, 0x1.80a9831b6731dp-6);
+    EXPECT_EQ(r.tcp_stats.data_packets_sent, 7741u);
+    expect_surface(r.telemetry,
+                   {6357157356947791519ull, 11164752914586109505ull, 18222009364093966394ull});
+  }
+}
+
+TEST(GoldenPin, ShortFlowEarlyExit) {
+  for (const auto backend : kBothBackends) {
+    SCOPED_TRACE(static_cast<int>(backend));
+    auto cfg = pinned_short(backend);
+    arm_early_exit(cfg);
+    const auto r = run_short_flow_experiment(cfg);
+    EXPECT_EQ(r.afct_seconds, 0x1.3287ae746de43p-1);
+    EXPECT_EQ(r.flows_completed, 141u);
+    EXPECT_EQ(r.drop_probability, 0x1.a7ea402920473p-6);
+    expect_surface(r.telemetry,
+                   {13958804808960764910ull, 236466764510780483ull, 8905742958894323075ull});
+  }
 }
 
 TEST(Golden, ShortFlowModelBufferIs162) {
