@@ -69,7 +69,7 @@
 //                         a table and, with --metrics, embedded in the JSON
 //                         document under "flow_stats". Off by default; when
 //                         off, every output byte matches a build without the
-//                         feature.
+//                         feature. Rejected (exit 2) in mode=trace.
 //   --post-mortem PATH    (or post_mortem=PATH) arm the flight recorder: on
 //                         an invariant-auditor violation or uncaught
 //                         exception, dump recent trace events, a metrics
@@ -83,7 +83,9 @@
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "core/recommendation.hpp"
 #include "core/sizing_rules.hpp"
@@ -93,9 +95,8 @@
 #include "experiment/reporting.hpp"
 #include "experiment/short_flow_experiment.hpp"
 #include "experiment/sweep.hpp"
-#include "fault/fault_injector.hpp"
+#include "experiment/dumbbell_run.hpp"
 #include "fault/fault_schedule.hpp"
-#include "stats/utilization.hpp"
 #include "telemetry/sweep_profile.hpp"
 #include "telemetry/trace.hpp"
 #include "traffic/trace_workload.hpp"
@@ -144,6 +145,11 @@ int run_rbsim(int argc, char** argv);
 int main(int argc, char** argv) {
   try {
     return run_rbsim(argc, argv);
+  } catch (const std::invalid_argument& e) {
+    // Hostile inputs: malformed fault schedules, empty workloads,
+    // non-positive windows.
+    std::fprintf(stderr, "rbsim: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     // Invariant-auditor reports (and any other fatal error) land here.
     std::fprintf(stderr, "rbsim: fatal: %s\n", e.what());
@@ -214,7 +220,6 @@ int run_rbsim(int argc, char** argv) {
   const int flows = static_cast<int>(get_num(kv, "flows", 100));
   const double duration = get_num(kv, "duration", 20.0);
   const double warmup = get_num(kv, "warmup", 10.0);
-  const auto seed = static_cast<std::uint64_t>(get_num(kv, "seed", 1));
   const double rtt_sec = 0.080;  // topology default
 
   const auto sqrt_rule = core::sqrt_rule_packets(rtt_sec, rate_bps, std::max(flows, 1), 1000);
@@ -246,22 +251,27 @@ int run_rbsim(int argc, char** argv) {
     if (buffers.empty()) buffers.push_back(sqrt_rule);
   }
   const std::int64_t buffer = buffers.front();
+  const bool sweeping = buffers.size() > 1;
   const int threads = static_cast<int>(get_num(kv, "threads", 0));
+
+  // Run-level controls shared by every mode (and every sweep point).
+  experiment::RunControls controls;
+  controls.seed = static_cast<std::uint64_t>(get_num(kv, "seed", 1));
 
   // Scheduler ready-queue backend. Both fire bitwise-identically; the wheel
   // is the fast default and the heap the reference structure.
   const std::string backend_str = get_str(kv, "backend", "wheel");
-  sim::SchedulerBackend backend = sim::SchedulerBackend::kWheel;
   if (backend_str == "heap") {
-    backend = sim::SchedulerBackend::kHeap;
+    controls.scheduler_backend = sim::SchedulerBackend::kHeap;
   } else if (backend_str == "auto") {
-    backend = sim::SchedulerBackend::kAuto;
+    controls.scheduler_backend = sim::SchedulerBackend::kAuto;
   } else if (backend_str != "wheel") {
     std::fprintf(stderr, "rbsim: unknown backend '%s' (want wheel, heap, or auto)\n",
                  backend_str.c_str());
     return 2;
   }
   const bool paranoia = get_num(kv, "paranoia", 0) > 0;
+  controls.checked = paranoia;
   if (paranoia) std::printf("rbsim: paranoia mode on — invariant auditor attached\n");
 
   // Congestion-control flavor for the TCP senders (long/mixed modes).
@@ -278,13 +288,20 @@ int run_rbsim(int argc, char** argv) {
 
   // Fault schedule, applied identically to every mode (and every sweep
   // point). Parse errors are fatal and name the offending line.
-  fault::FaultSchedule faults;
   const std::string faults_path = get_str(kv, "faults", "");
   if (!faults_path.empty()) {
-    faults = fault::FaultSchedule::parse_file(faults_path);
+    controls.faults = fault::FaultSchedule::parse_file(faults_path);
     std::printf("rbsim: fault schedule '%s' armed — %zu events, horizon %.1f s\n",
-                faults_path.c_str(), faults.size(), faults.horizon().to_seconds());
+                faults_path.c_str(), controls.faults.size(),
+                controls.faults.horizon().to_seconds());
   }
+  // The fault-loss report line of a single-point run, label padded to the
+  // mode's column; printed only when a schedule was armed.
+  const auto print_fault_drops = [&controls](int label_width, std::uint64_t drops) {
+    if (controls.faults.empty()) return;
+    std::printf("%-*s: %llu packets lost to injected faults\n", label_width, "faults",
+                static_cast<unsigned long long>(drops));
+  };
 
   // Telemetry configuration shared by every mode. The trace session is a
   // single shared ring buffer, so it only attaches to single-point runs; a
@@ -293,7 +310,7 @@ int run_rbsim(int argc, char** argv) {
   const std::string metrics_path = get_str(kv, "metrics", "");
   const std::string trace_path = get_str(kv, "trace_out", "");
   const bool profile = get_num(kv, "profile", 0) > 0;
-  experiment::TelemetryConfig tele_cfg;
+  experiment::TelemetryConfig& tele_cfg = controls.telemetry;
   tele_cfg.metrics = !metrics_path.empty();
   tele_cfg.sample_interval = sim::SimTime::from_seconds(get_num(kv, "sample_interval", 0.1));
   tele_cfg.profile = profile;
@@ -302,7 +319,7 @@ int run_rbsim(int argc, char** argv) {
   // points would race on it; single-point runs only, like --trace.
   const std::string post_mortem_path = get_str(kv, "post_mortem", "");
   if (!post_mortem_path.empty()) {
-    if (buffers.size() > 1) {
+    if (sweeping) {
       std::fprintf(stderr,
                    "rbsim: --post-mortem applies to single-point runs; ignored for sweeps\n");
     } else {
@@ -311,7 +328,7 @@ int run_rbsim(int argc, char** argv) {
   }
   std::unique_ptr<telemetry::TraceSession> trace_session;
   if (!trace_path.empty()) {
-    if (buffers.size() > 1) {
+    if (sweeping) {
       std::fprintf(stderr, "rbsim: --trace applies to single-point runs; ignored for sweeps\n");
     } else {
       trace_session = std::make_unique<telemetry::TraceSession>();
@@ -374,15 +391,11 @@ int run_rbsim(int argc, char** argv) {
     }
   };
 
-  std::printf("rbsim: mode=%s rate=%.0f Mb/s flows=%d buffer=%lld pkts "
-              "(sqrt rule %lld, RTT*C %lld)\n\n",
-              mode.c_str(), rate_bps / 1e6, flows, static_cast<long long>(buffer),
-              static_cast<long long>(sqrt_rule), static_cast<long long>(bdp));
-
-  if (buffers.size() > 1) {
-    // Buffer sweep: every point is an independent simulation, run across
-    // the worker pool; rows print in list order, bitwise identical to a
-    // serial (threads=1) run.
+  // Buffer sweep: every point is an independent simulation, run across the
+  // worker pool; rows print in list order, bitwise identical to a serial
+  // (threads=1) run. `run_point(i)` runs point i; `cells(result)` renders
+  // the columns after the buffer column.
+  const auto sweep = [&](std::vector<std::string> header, auto run_point, auto cells) {
     experiment::SweepRunner runner{threads, paranoia};
     telemetry::SweepProfile sweep_prof{buffers.size(), profile};
     if (profile) {
@@ -390,181 +403,69 @@ int run_rbsim(int argc, char** argv) {
           {[&](std::size_t i, int w) { sweep_prof.point_start(i, w); },
            [&](std::size_t i, int w) { sweep_prof.point_done(i, w); }});
     }
+    using Result = decltype(run_point(std::size_t{0}));
+    const auto results = runner.map<Result>(buffers.size(), run_point);
+    experiment::TablePrinter table{std::move(header)};
+    for (std::size_t i = 0; i < buffers.size(); ++i) {
+      std::vector<std::string> row = cells(results[i]);
+      row.insert(row.begin(), experiment::format("%lld", static_cast<long long>(buffers[i])));
+      table.add_row(std::move(row));
+    }
+    std::printf("%s\n", table.render().c_str());
 
+    if (profile) {
+      std::printf("\n%s", sweep_prof.summary().c_str());
+      // Dispatch health: every worker should claim a similar share; one
+      // worker owning almost all points means the batch was too small to
+      // share or the helpers never woke in time.
+      const auto dispatch = runner.dispatch_stats();
+      std::printf("dispatch     :");
+      for (std::size_t w = 0; w < dispatch.size(); ++w) {
+        std::printf(" w%zu=%llu pts (%llu chunks)", w,
+                    static_cast<unsigned long long>(dispatch[w].points),
+                    static_cast<unsigned long long>(dispatch[w].chunks));
+      }
+      std::printf("\n");
+    }
     // Per-point telemetry artifacts: each sweep point owns its Simulation
     // (and thus its registry/series), so --metrics out.json yields
     // out.json.point<N>.json plus a plottable out.point<N>.{csv,gp} pair.
-    const auto emit_sweep_telemetry = [&](auto&& telemetry_of) {
-      if (profile) {
-        std::printf("\n%s", sweep_prof.summary().c_str());
-        // Dispatch health: every worker should claim a similar share; one
-        // worker owning almost all points means the batch was too small to
-        // share or the helpers never woke in time.
-        const auto dispatch = runner.dispatch_stats();
-        std::printf("dispatch     :");
-        for (std::size_t w = 0; w < dispatch.size(); ++w) {
-          std::printf(" w%zu=%llu pts (%llu chunks)", w,
-                      static_cast<unsigned long long>(dispatch[w].points),
-                      static_cast<unsigned long long>(dispatch[w].chunks));
-        }
-        std::printf("\n");
-      }
-      if (metrics_path.empty()) return;
-      const std::filesystem::path mp{metrics_path};
-      const std::string dir = mp.has_parent_path() ? mp.parent_path().string() : std::string{"."};
-      const std::string stem = mp.stem().string();
-      bool ok = true;
-      for (std::size_t i = 0; i < buffers.size(); ++i) {
-        const experiment::TelemetryResult& t = telemetry_of(i);
-        if (!t.collected) continue;
-        const std::string tag = ".point" + std::to_string(i);
-        ok = experiment::write_file(metrics_path + tag + ".json", metrics_doc(t)) &&
-             experiment::write_series_artifacts(
-                 dir, stem + tag,
-                 "buffer=" + std::to_string(static_cast<long long>(buffers[i])) + " pkts",
-                 t.series) &&
-             ok;
-      }
-      if (ok) {
-        std::printf("per-point telemetry: %s.point<N>.json (+ %s/%s.point<N>.{csv,gp})\n",
-                    metrics_path.c_str(), dir.c_str(), stem.c_str());
-      }
-    };
-    if (mode == "long") {
-      experiment::LongFlowExperimentConfig cfg;
-      cfg.num_flows = flows;
-      cfg.bottleneck_rate = core::BitsPerSec{rate_bps};
-      cfg.warmup = sim::SimTime::from_seconds(warmup);
-      cfg.measure = sim::SimTime::from_seconds(duration);
-      cfg.record_delays = true;
-      cfg.seed = seed;
-      cfg.checked = paranoia;
-      cfg.scheduler_backend = backend;
-      if (get_num(kv, "red", 0) > 0) cfg.discipline = net::QueueDiscipline::kRed;
-      if (get_num(kv, "ecn", 0) > 0) {
-        cfg.discipline = net::QueueDiscipline::kRed;
-        cfg.red.ecn_marking = true;
-      }
-      cfg.tcp.pacing = get_num(kv, "pacing", 0) > 0;
-      cfg.sink.delayed_ack = get_num(kv, "delack", 0) > 0;
-      cfg.telemetry = tele_cfg;
-      cfg.telemetry.trace = nullptr;  // shared session; single-point runs only
-      cfg.faults = faults;
-
-      const auto results = runner.map<experiment::LongFlowExperimentResult>(
-          buffers.size(), [&](std::size_t i) {
-            auto point = cfg;
-            point.buffer_packets = buffers[i];
-            // Per point, not once: DCTCP's marking threshold tracks the buffer.
-            if (cca) experiment::apply_cca_profile(point, *cca, buffers[i]);
-            return run_long_flow_experiment(point);
-          });
-      experiment::TablePrinter table{
-          {"buffer (pkts)", "utilization", "loss", "mean queue", "p99 delay (ms)", "fairness"}};
-      for (std::size_t i = 0; i < buffers.size(); ++i) {
-        const auto& r = results[i];
-        table.add_row({experiment::format("%lld", static_cast<long long>(buffers[i])),
-                       experiment::format("%.2f%%", 100 * r.utilization),
-                       experiment::format("%.3f%%", 100 * r.loss_rate),
-                       experiment::format("%.1f", r.mean_queue_packets),
-                       experiment::format("%.2f", 1e3 * r.delay_p99_sec),
-                       experiment::format("%.3f", r.fairness)});
-      }
-      std::printf("%s\n", table.render().c_str());
-      emit_sweep_telemetry([&](std::size_t i) -> const experiment::TelemetryResult& {
-        return results[i].telemetry;
-      });
-      return 0;
+    if (metrics_path.empty()) return 0;
+    const std::filesystem::path mp{metrics_path};
+    const std::string dir = mp.has_parent_path() ? mp.parent_path().string() : std::string{"."};
+    const std::string stem = mp.stem().string();
+    bool ok = true;
+    for (std::size_t i = 0; i < buffers.size(); ++i) {
+      const experiment::TelemetryResult& t = results[i].telemetry;
+      if (!t.collected) continue;
+      const std::string tag = ".point" + std::to_string(i);
+      ok = experiment::write_file(metrics_path + tag + ".json", metrics_doc(t)) &&
+           experiment::write_series_artifacts(
+               dir, stem + tag,
+               "buffer=" + std::to_string(static_cast<long long>(buffers[i])) + " pkts",
+               t.series) &&
+           ok;
     }
-    if (mode == "short") {
-      experiment::ShortFlowExperimentConfig cfg;
-      cfg.bottleneck_rate = core::BitsPerSec{rate_bps};
-      cfg.load = get_num(kv, "short_load", 0.8);
-      cfg.flow_packets = static_cast<std::int64_t>(get_num(kv, "flow_len", 62));
-      cfg.warmup = sim::SimTime::from_seconds(warmup);
-      cfg.measure = sim::SimTime::from_seconds(duration);
-      cfg.seed = seed;
-      cfg.checked = paranoia;
-      cfg.scheduler_backend = backend;
-      cfg.telemetry = tele_cfg;
-      cfg.telemetry.trace = nullptr;
-      cfg.faults = faults;
-
-      const auto results = runner.map<experiment::ShortFlowExperimentResult>(
-          buffers.size(), [&](std::size_t i) {
-            auto point = cfg;
-            point.buffer_packets = buffers[i];
-            return run_short_flow_experiment(point);
-          });
-      experiment::TablePrinter table{
-          {"buffer (pkts)", "utilization", "AFCT (ms)", "flows", "drop prob"}};
-      for (std::size_t i = 0; i < buffers.size(); ++i) {
-        const auto& r = results[i];
-        table.add_row({experiment::format("%lld", static_cast<long long>(buffers[i])),
-                       experiment::format("%.2f%%", 100 * r.utilization),
-                       experiment::format("%.1f", 1e3 * r.afct_seconds),
-                       experiment::format("%llu",
-                                          static_cast<unsigned long long>(r.flows_completed)),
-                       experiment::format("%.4f", r.drop_probability)});
-      }
-      std::printf("%s\n", table.render().c_str());
-      emit_sweep_telemetry([&](std::size_t i) -> const experiment::TelemetryResult& {
-        return results[i].telemetry;
-      });
-      return 0;
+    if (ok) {
+      std::printf("per-point telemetry: %s.point<N>.json (+ %s/%s.point<N>.{csv,gp})\n",
+                  metrics_path.c_str(), dir.c_str(), stem.c_str());
     }
-    if (mode == "mixed") {
-      experiment::MixedFlowExperimentConfig cfg;
-      cfg.bottleneck_rate = core::BitsPerSec{rate_bps};
-      cfg.num_long_flows = flows;
-      cfg.short_flow_load = get_num(kv, "short_load", 0.2);
-      cfg.short_flow_packets = static_cast<std::int64_t>(get_num(kv, "flow_len", 62));
-      cfg.warmup = sim::SimTime::from_seconds(warmup);
-      cfg.measure = sim::SimTime::from_seconds(duration);
-      cfg.seed = seed;
-      cfg.checked = paranoia;
-      cfg.scheduler_backend = backend;
-      cfg.telemetry = tele_cfg;
-      cfg.telemetry.trace = nullptr;
-      cfg.faults = faults;
+    return 0;
+  };
 
-      const auto results = runner.map<experiment::MixedFlowExperimentResult>(
-          buffers.size(), [&](std::size_t i) {
-            auto point = cfg;
-            point.buffer_packets = buffers[i];
-            return run_mixed_flow_experiment(point);
-          });
-      experiment::TablePrinter table{{"buffer (pkts)", "utilization", "short AFCT (ms)",
-                                      "long goodput (Mb/s)", "drop prob"}};
-      for (std::size_t i = 0; i < buffers.size(); ++i) {
-        const auto& r = results[i];
-        table.add_row({experiment::format("%lld", static_cast<long long>(buffers[i])),
-                       experiment::format("%.2f%%", 100 * r.utilization),
-                       experiment::format("%.1f", 1e3 * r.afct_seconds),
-                       experiment::format("%.1f", r.long_flow_throughput_bps / 1e6),
-                       experiment::format("%.4f", r.drop_probability)});
-      }
-      std::printf("%s\n", table.render().c_str());
-      emit_sweep_telemetry([&](std::size_t i) -> const experiment::TelemetryResult& {
-        return results[i].telemetry;
-      });
-      return 0;
-    }
-    std::fprintf(stderr, "rbsim: buffer sweeps support modes long|short|mixed\n");
-    return 2;
-  }
+  std::printf("rbsim: mode=%s rate=%.0f Mb/s flows=%d buffer=%lld pkts "
+              "(sqrt rule %lld, RTT*C %lld)\n\n",
+              mode.c_str(), rate_bps / 1e6, flows, static_cast<long long>(buffer),
+              static_cast<long long>(sqrt_rule), static_cast<long long>(bdp));
 
+  // Each mode builds its config once; a sweep and a single-point run share it.
   if (mode == "long") {
-    experiment::LongFlowExperimentConfig cfg;
+    experiment::LongFlowExperimentConfig cfg{controls};
     cfg.num_flows = flows;
-    cfg.buffer_packets = buffer;
     cfg.bottleneck_rate = core::BitsPerSec{rate_bps};
     cfg.warmup = sim::SimTime::from_seconds(warmup);
     cfg.measure = sim::SimTime::from_seconds(duration);
     cfg.record_delays = true;
-    cfg.seed = seed;
-    cfg.checked = paranoia;
-    cfg.scheduler_backend = backend;
     if (get_num(kv, "red", 0) > 0) cfg.discipline = net::QueueDiscipline::kRed;
     if (get_num(kv, "ecn", 0) > 0) {
       cfg.discipline = net::QueueDiscipline::kRed;
@@ -572,10 +473,27 @@ int run_rbsim(int argc, char** argv) {
     }
     cfg.tcp.pacing = get_num(kv, "pacing", 0) > 0;
     cfg.sink.delayed_ack = get_num(kv, "delack", 0) > 0;
-    if (cca) experiment::apply_cca_profile(cfg, *cca, buffer);
-    cfg.telemetry = tele_cfg;
-    cfg.faults = faults;
 
+    if (sweeping) {
+      return sweep(
+          {"buffer (pkts)", "utilization", "loss", "mean queue", "p99 delay (ms)", "fairness"},
+          [&](std::size_t i) {
+            auto point = cfg;
+            point.buffer_packets = buffers[i];
+            // Per point, not once: DCTCP's marking threshold tracks the buffer.
+            if (cca) experiment::apply_cca_profile(point, *cca, buffers[i]);
+            return run_long_flow_experiment(point);
+          },
+          [](const experiment::LongFlowExperimentResult& r) -> std::vector<std::string> {
+            return {experiment::format("%.2f%%", 100 * r.utilization),
+                    experiment::format("%.3f%%", 100 * r.loss_rate),
+                    experiment::format("%.1f", r.mean_queue_packets),
+                    experiment::format("%.2f", 1e3 * r.delay_p99_sec),
+                    experiment::format("%.3f", r.fairness)};
+          });
+    }
+    cfg.buffer_packets = buffer;
+    if (cca) experiment::apply_cca_profile(cfg, *cca, buffer);
     const auto r = run_long_flow_experiment(cfg);
     const core::LongFlowLink model{rate_bps, rtt_sec, flows, 1000};
     std::printf("utilization     : %.2f%%   (model predicts %.2f%%)\n",
@@ -592,27 +510,36 @@ int run_rbsim(int argc, char** argv) {
                 static_cast<unsigned long long>(r.tcp_stats.timeouts),
                 static_cast<unsigned long long>(r.tcp_stats.fast_retransmits),
                 static_cast<unsigned long long>(r.tcp_stats.ecn_reductions));
-    if (!faults.empty()) {
-      std::printf("faults          : %llu packets lost to injected faults\n",
-                  static_cast<unsigned long long>(r.fault_drops));
-    }
+    print_fault_drops(16, r.fault_drops);
     emit_telemetry(r.telemetry);
     return 0;
   }
 
   if (mode == "short") {
-    experiment::ShortFlowExperimentConfig cfg;
+    experiment::ShortFlowExperimentConfig cfg{controls};
     cfg.bottleneck_rate = core::BitsPerSec{rate_bps};
-    cfg.buffer_packets = buffer;
     cfg.load = get_num(kv, "short_load", 0.8);
     cfg.flow_packets = static_cast<std::int64_t>(get_num(kv, "flow_len", 62));
     cfg.warmup = sim::SimTime::from_seconds(warmup);
     cfg.measure = sim::SimTime::from_seconds(duration);
-    cfg.seed = seed;
-    cfg.checked = paranoia;
-    cfg.scheduler_backend = backend;
-    cfg.telemetry = tele_cfg;
-    cfg.faults = faults;
+
+    if (sweeping) {
+      return sweep(
+          {"buffer (pkts)", "utilization", "AFCT (ms)", "flows", "drop prob"},
+          [&](std::size_t i) {
+            auto point = cfg;
+            point.buffer_packets = buffers[i];
+            return run_short_flow_experiment(point);
+          },
+          [](const experiment::ShortFlowExperimentResult& r) -> std::vector<std::string> {
+            return {experiment::format("%.2f%%", 100 * r.utilization),
+                    experiment::format("%.1f", 1e3 * r.afct_seconds),
+                    experiment::format("%llu",
+                                       static_cast<unsigned long long>(r.flows_completed)),
+                    experiment::format("%.4f", r.drop_probability)};
+          });
+    }
+    cfg.buffer_packets = buffer;
     const auto r = run_short_flow_experiment(cfg);
     const auto m = core::burst_moments_for_flow(cfg.flow_packets);
     std::printf("utilization : %.2f%% (offered load %.2f)\n", 100 * r.utilization, cfg.load);
@@ -625,19 +552,15 @@ int run_rbsim(int argc, char** argv) {
                 r.drop_probability,
                 core::queue_tail_probability(cfg.load, m,
                                              static_cast<double>(buffer)));
-    if (!faults.empty()) {
-      std::printf("faults      : %llu packets lost to injected faults\n",
-                  static_cast<unsigned long long>(r.fault_drops));
-    }
+    print_fault_drops(12, r.fault_drops);
     emit_telemetry(r.telemetry);
     return 0;
   }
 
   if (mode == "mixed") {
-    experiment::MixedFlowExperimentConfig cfg;
+    experiment::MixedFlowExperimentConfig cfg{controls};
     cfg.bottleneck_rate = core::BitsPerSec{rate_bps};
     cfg.num_long_flows = flows;
-    cfg.buffer_packets = buffer;
     cfg.short_flow_load = get_num(kv, "short_load", 0.2);
     cfg.short_flow_packets = static_cast<std::int64_t>(get_num(kv, "flow_len", 62));
     // Flavor only: the mixed experiment owns its queue discipline, so the
@@ -645,11 +568,24 @@ int run_rbsim(int argc, char** argv) {
     if (cca) cfg.tcp.flavor = *cca;
     cfg.warmup = sim::SimTime::from_seconds(warmup);
     cfg.measure = sim::SimTime::from_seconds(duration);
-    cfg.seed = seed;
-    cfg.checked = paranoia;
-    cfg.scheduler_backend = backend;
-    cfg.telemetry = tele_cfg;
-    cfg.faults = faults;
+
+    if (sweeping) {
+      return sweep(
+          {"buffer (pkts)", "utilization", "short AFCT (ms)", "long goodput (Mb/s)",
+           "drop prob"},
+          [&](std::size_t i) {
+            auto point = cfg;
+            point.buffer_packets = buffers[i];
+            return run_mixed_flow_experiment(point);
+          },
+          [](const experiment::MixedFlowExperimentResult& r) -> std::vector<std::string> {
+            return {experiment::format("%.2f%%", 100 * r.utilization),
+                    experiment::format("%.1f", 1e3 * r.afct_seconds),
+                    experiment::format("%.1f", r.long_flow_throughput_bps / 1e6),
+                    experiment::format("%.4f", r.drop_probability)};
+          });
+    }
+    cfg.buffer_packets = buffer;
     const auto r = run_mixed_flow_experiment(cfg);
     std::printf("utilization       : %.2f%%\n", 100 * r.utilization);
     std::printf("short-flow AFCT   : %.1f ms over %llu flows\n", 1e3 * r.afct_seconds,
@@ -657,78 +593,64 @@ int run_rbsim(int argc, char** argv) {
     std::printf("long-flow goodput : %.1f Mb/s\n", r.long_flow_throughput_bps / 1e6);
     std::printf("drop probability  : %.4f\n", r.drop_probability);
     std::printf("mean queue        : %.1f pkts\n", r.mean_queue_packets);
-    if (!faults.empty()) {
-      std::printf("faults            : %llu packets lost to injected faults\n",
-                  static_cast<unsigned long long>(r.fault_drops));
-    }
+    print_fault_drops(18, r.fault_drops);
     emit_telemetry(r.telemetry);
     return 0;
   }
 
+  if (sweeping) {
+    std::fprintf(stderr, "rbsim: buffer sweeps support modes long|short|mixed\n");
+    return 2;
+  }
+
   if (mode == "trace") {
-    const std::string trace_path = get_str(kv, "trace", "");
-    if (trace_path.empty()) {
+    // Replayed flows are reaped without a per-flow harvest, so a rollup
+    // would silently report zero flows.
+    if (tele_cfg.flow_stats) {
+      std::fprintf(stderr, "rbsim: --flow-stats is not supported in mode=trace\n");
+      return 2;
+    }
+    const std::string replay_path = get_str(kv, "trace", "");
+    if (replay_path.empty()) {
       std::fprintf(stderr, "rbsim: mode=trace requires trace=FILE\n");
       return 2;
     }
     std::vector<traffic::TraceRecord> records;
     try {
-      records = traffic::load_trace_file(trace_path);
+      records = traffic::load_trace_file(replay_path);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "rbsim: %s\n", e.what());
       return 2;
     }
     if (records.empty()) {
-      std::fprintf(stderr, "rbsim: trace '%s' contains no flows\n", trace_path.c_str());
+      std::fprintf(stderr, "rbsim: trace '%s' contains no flows\n", replay_path.c_str());
       return 2;
     }
 
-    sim::Simulation sim{seed, backend};
-    experiment::ExperimentTelemetry tele{sim, tele_cfg};
     net::DumbbellConfig topo_cfg;
     topo_cfg.num_leaves = std::max(flows, 1);
     topo_cfg.bottleneck_rate = core::BitsPerSec{rate_bps};
     topo_cfg.buffer_packets = buffer;
-    net::Dumbbell topo{sim, topo_cfg};
-    traffic::TraceWorkload wl{sim, topo, records, traffic::TraceWorkloadConfig{}};
-    tele.add_bottleneck_probes(topo.bottleneck());
-    tele.add_probe("flows_active", [&wl] { return static_cast<double>(wl.flows_active()); });
-    tele.start(sim.now() + tele_cfg.sample_interval);
-
-    std::unique_ptr<fault::FaultInjector> injector;
-    if (!faults.empty()) {
-      injector = std::make_unique<fault::FaultInjector>(sim);
-      for (const auto& link : topo.links()) injector->attach(*link);
-      injector->arm(faults);
-    }
-
-    check::InvariantAuditor auditor;
-    if (paranoia) {
-      auditor.add("bottleneck.queue", topo.bottleneck().queue());
-      auditor.add("trace_flows", wl);
-      if (injector) auditor.add("fault.injector", *injector);
-      sim.enable_auditing(auditor);
-    }
-
-    stats::UtilizationMeter meter{sim, topo.bottleneck()};
-    meter.begin();
     const double trace_end = records.back().arrival_sec;
-    sim.run_until(sim::SimTime::from_seconds(trace_end + duration));
-    if (paranoia) {
-      auditor.audit_now();
-      auditor.require_clean();
-    }
+    experiment::DumbbellRun run{controls, topo_cfg, sim::SimTime::zero(),
+                                sim::SimTime::from_seconds(trace_end + duration)};
+    traffic::TraceWorkload wl{run.sim, run.topo, records, traffic::TraceWorkloadConfig{}};
+    // No warm-up: the replay window opens at t = 0, before faults are armed.
+    run.begin_measurement(
+        {{"flows_active", [&wl] { return static_cast<double>(wl.flows_active()); }}});
+    run.arm([&wl](check::InvariantAuditor& auditor) { auditor.add("trace_flows", wl); });
+    run.measure();
 
     std::printf("trace        : %zu flows from %s (last arrival %.1f s)\n", records.size(),
-                trace_path.c_str(), trace_end);
+                replay_path.c_str(), trace_end);
     std::printf("completed    : %llu (active at cutoff: %zu)\n",
                 static_cast<unsigned long long>(wl.flows_completed()), wl.flows_active());
     std::printf("AFCT         : %.1f ms\n", 1e3 * wl.completions().afct_seconds());
-    std::printf("utilization  : %.2f%% over the replay window\n", 100 * meter.utilization());
+    std::printf("utilization  : %.2f%% over the replay window\n", 100 * run.utilization());
     std::printf("drops        : %llu\n",
                 static_cast<unsigned long long>(
-                    topo.bottleneck().queue().stats().dropped_packets));
-    emit_telemetry(tele.finish());
+                    run.topo.bottleneck().queue().stats().dropped_packets));
+    emit_telemetry(run.finish());
     return 0;
   }
 

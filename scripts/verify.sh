@@ -141,6 +141,24 @@ assert f"flowstats.cca.{cca}" in names, \
     f"cca={cca}: per-CCA gauge missing from metrics"
 EOF
 done
+# A mixed-mode buffer sweep must carry cca= to every point.
+./build/examples/rbsim mode=mixed flows=4 duration=2 warmup=1 rate_mbps=50 \
+  buffer=40,80 cca=cubic --flow-stats --metrics build/cca_smoke/mixed.json \
+  > build/cca_smoke/out_mixed.txt
+python3 - <<'EOF'
+import json
+for i in (0, 1):
+    path = f"build/cca_smoke/mixed.json.point{i}.json"
+    labeled = json.load(open(path))["flow_stats"]["cca"]
+    assert list(labeled) == ["cubic"], f"{path}: flow labels wrong: {labeled}"
+EOF
+# Hostile input: a zero short-flow load must fail fast with exit 2, not hang.
+status=0
+timeout 10 ./build/examples/rbsim mode=short short_load=0 >/dev/null 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+  echo "verify: FATAL: rbsim mode=short short_load=0 exited $status, want 2" >&2
+  exit 1
+fi
 
 echo "=== [8/11] ASan/UBSan + RBS_CHECKED: full test suite ==="
 cmake -B build-asan -S . -DRBS_ASAN=ON -DRBS_CHECKED=ON >/dev/null

@@ -9,17 +9,15 @@
 #include <functional>
 #include <vector>
 
-#include "experiment/telemetry_hookup.hpp"
-#include "fault/fault_schedule.hpp"
+#include "experiment/dumbbell_run.hpp"
 #include "net/dumbbell.hpp"
-#include "sim/event_queue.hpp"
 #include "stats/time_series.hpp"
 #include "tcp/tcp_sink.hpp"
 #include "tcp/tcp_source.hpp"
 
 namespace rbs::experiment {
 
-struct LongFlowExperimentConfig {
+struct LongFlowExperimentConfig : RunControls {
   int num_flows{100};
   std::int64_t buffer_packets{100};
 
@@ -38,12 +36,6 @@ struct LongFlowExperimentConfig {
   tcp::TcpSinkConfig sink{};
   sim::SimTime warmup{sim::SimTime::seconds(20)};
   sim::SimTime measure{sim::SimTime::seconds(40)};
-  std::uint64_t seed{1};
-
-  /// Scheduler ready-queue backend. Both backends fire events in bitwise-
-  /// identical order (asserted by tests/golden_test.cpp under each); the
-  /// timing wheel is the fast default, the 4-ary heap the reference.
-  sim::SchedulerBackend scheduler_backend{sim::SchedulerBackend::kWheel};
 
   /// When > 0, samples the aggregate (and per-flow) congestion windows at
   /// this interval during the measurement phase.
@@ -52,18 +44,6 @@ struct LongFlowExperimentConfig {
 
   /// Record per-packet bottleneck delay percentiles and per-flow fairness.
   bool record_delays{false};
-
-  /// Paranoia mode: attach an InvariantAuditor to the scheduler, the
-  /// bottleneck queue, and every TCP endpoint, re-verify all invariants
-  /// every `audit_every_events` executed events and once more at the end,
-  /// and throw std::runtime_error on any violation. Costs a few percent of
-  /// runtime; results are unchanged.
-  bool checked{false};
-  std::uint64_t audit_every_events{50'000};
-
-  /// Observability: metrics snapshot + time series, tracing, profiling,
-  /// flow stats, flight recorder.
-  TelemetryConfig telemetry{};
 
   /// Stop the measurement window early once the convergence detector
   /// declares steady state. Opt-in: the default run is one uninterrupted
@@ -76,10 +56,6 @@ struct LongFlowExperimentConfig {
   /// ticks). The detector runs whenever metrics are on or early exit is
   /// requested, and exports convergence.* gauges either way.
   telemetry::ConvergenceConfig convergence{};
-
-  /// Injected fault windows (empty = no injector, bitwise-identical run;
-  /// see docs/faults.md). Links are addressed by topology name.
-  fault::FaultSchedule faults{};
 };
 
 struct LongFlowExperimentResult {
@@ -115,17 +91,11 @@ struct LongFlowExperimentResult {
   TelemetryResult telemetry;
 };
 
-/// Builds the dumbbell, runs warm-up + measurement, and reports.
+/// Builds the dumbbell, runs warm-up + measurement, and reports. Throws
+/// std::invalid_argument for num_flows < 1 and for the run-level conditions
+/// of DumbbellRun.
 [[nodiscard]] LongFlowExperimentResult run_long_flow_experiment(
     const LongFlowExperimentConfig& config);
-
-/// Smallest buffer (packets) achieving `target_utilization`, by bisection
-/// over fresh simulation runs in [lo, hi]. Utilization is noisy, so the
-/// result is the smallest probed buffer whose measured utilization met the
-/// target while its predecessor missed it.
-[[nodiscard]] std::int64_t min_buffer_for_utilization(LongFlowExperimentConfig config,
-                                                      double target_utilization,
-                                                      std::int64_t lo, std::int64_t hi);
 
 /// Per-probe configuration hook for the bisection: called with the config
 /// and the buffer about to be probed, before the run. Lets buffer-coupled
@@ -134,10 +104,12 @@ struct LongFlowExperimentResult {
 /// marked queue (see experiment::apply_cca_profile).
 using BufferProbePrepare = std::function<void(LongFlowExperimentConfig&, std::int64_t)>;
 
-/// Bisection with a per-probe prepare hook (empty hook = the plain variant).
+/// Smallest buffer (packets) achieving `target_utilization`, by
+/// bisect_buffer over fresh simulation runs in [lo, hi], each prepared by
+/// `prepare` (if set).
 [[nodiscard]] std::int64_t min_buffer_for_utilization(LongFlowExperimentConfig config,
                                                       double target_utilization,
                                                       std::int64_t lo, std::int64_t hi,
-                                                      const BufferProbePrepare& prepare);
+                                                      const BufferProbePrepare& prepare = {});
 
 }  // namespace rbs::experiment

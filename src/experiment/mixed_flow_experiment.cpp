@@ -1,14 +1,8 @@
 #include "experiment/mixed_flow_experiment.hpp"
 
-#include <cassert>
 #include <memory>
 
-#include "fault/fault_injector.hpp"
-#include "sim/simulation.hpp"
-#include "stats/online_stats.hpp"
-#include "stats/time_series.hpp"
-#include "stats/utilization.hpp"
-#include "traffic/long_flow_workload.hpp"
+#include "tcp/tcp_sink.hpp"
 #include "traffic/short_flow_workload.hpp"
 #include "traffic/udp_source.hpp"
 
@@ -21,22 +15,15 @@ constexpr net::FlowId kUdpFlow = 900'000;
 }  // namespace
 
 MixedFlowExperimentResult run_mixed_flow_experiment(const MixedFlowExperimentConfig& config) {
-  assert(config.num_long_flows >= 0 && config.num_short_leaves >= 1);
-  // The schedule horizon is bounded by the run length: nothing is ever
-  // scheduled past warmup + measure, so backend=auto can resolve from it.
-  sim::Simulation sim{config.seed, config.scheduler_backend,
-                      config.warmup + config.measure};
-  ExperimentTelemetry tele{sim, config.telemetry};
-
-  net::DumbbellConfig topo_cfg;
-  topo_cfg.num_leaves = config.num_long_flows + config.num_short_leaves;
-  topo_cfg.bottleneck_rate = config.bottleneck_rate;
-  topo_cfg.bottleneck_delay = config.bottleneck_delay;
-  topo_cfg.buffer_packets = config.buffer_packets;
-  topo_cfg.access_rate = config.access_rate;
-  topo_cfg.access_delay_min = config.access_delay_min;
-  topo_cfg.access_delay_max = config.access_delay_max;
-  net::Dumbbell topo{sim, topo_cfg};
+  require(config.num_long_flows >= 0, "mixed experiment: num_long_flows must be >= 0");
+  require(config.num_short_leaves >= 1, "mixed experiment: num_short_leaves must be >= 1");
+  require(config.short_flow_load > 0, "mixed experiment: short_flow_load must be > 0");
+  // Long-flow throughput is normalized by the window length.
+  require(config.measure > sim::SimTime::zero(), "mixed experiment: measure must be > 0");
+  DumbbellRun run{config, dumbbell_for(config, config.num_long_flows + config.num_short_leaves),
+                  config.warmup, config.measure};
+  sim::Simulation& sim = run.sim;
+  net::Dumbbell& topo = run.topo;
 
   // Long-lived flows on the first `num_long_flows` leaves. The workload
   // spans all leaves of a topology, so build it over a trimmed view: we
@@ -89,53 +76,32 @@ MixedFlowExperimentResult run_mixed_flow_experiment(const MixedFlowExperimentCon
     udp->start(sim::SimTime::zero());
   }
 
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (!config.faults.empty()) {
-    injector = std::make_unique<fault::FaultInjector>(sim);
-    for (const auto& link : topo.links()) injector->attach(*link);
-    injector->arm(config.faults);
-  }
-
-  std::unique_ptr<check::InvariantAuditor> auditor;
-  if (config.checked) {
-    auditor = std::make_unique<check::InvariantAuditor>();
-    auditor->add("bottleneck.queue", topo.bottleneck().queue());
-    auditor->add("short_flows", short_flows);
-    if (injector) auditor->add("fault.injector", *injector);
-    auditor->add("long_flows", [&long_sources, &long_sinks](check::AuditReport& report) {
+  run.arm([&](check::InvariantAuditor& auditor) {
+    auditor.add("short_flows", short_flows);
+    auditor.add("long_flows", [&long_sources, &long_sinks](check::AuditReport& report) {
       for (const auto& s : long_sources) s->audit(report);
       for (const auto& s : long_sinks) s->audit(report);
     });
-    sim.enable_auditing(*auditor, config.audit_every_events);
-    tele.attach_auditor(*auditor);
-  }
-  tele.arm_crash_probes(topo.bottleneck());
-
-  tele.run_guarded(config.warmup);
-  topo.bottleneck().reset_stats();
+  });
+  run.warm_up({{"cwnd_total_pkts",
+                [&long_sources] {
+                  double total = 0.0;
+                  for (const auto& s : long_sources) total += s->cwnd();
+                  return total;
+                }},
+               {"flows_active", [&short_flows] {
+                  return static_cast<double>(short_flows.flows_active());
+                }}});
   const auto measure_start = sim.now();
 
   // Per-flow rollup: short flows report at reap time (measurement-window
   // starters only, mirroring afct_filtered); long flows report once at the
   // end of the run.
-  if (tele.flow_stats() != nullptr) {
-    short_flows.on_flow_complete = [&tele, &sim, measure_start](const tcp::TcpSource& src) {
-      if (src.start_time() >= measure_start) tele.record_tcp_flow(src, sim.now());
+  if (run.tele.flow_stats() != nullptr) {
+    short_flows.on_flow_complete = [&run, measure_start](const tcp::TcpSource& src) {
+      if (src.start_time() >= measure_start) run.tele.record_tcp_flow(src, run.sim.now());
     };
   }
-  stats::UtilizationMeter meter{sim, topo.bottleneck()};
-  meter.begin();
-
-  tele.add_bottleneck_probes(topo.bottleneck());
-  tele.add_probe("cwnd_total_pkts", [&long_sources] {
-    double total = 0.0;
-    for (const auto& s : long_sources) total += s->cwnd();
-    return total;
-  });
-  tele.add_probe("flows_active", [&short_flows] {
-    return static_cast<double>(short_flows.flows_active());
-  });
-  tele.start(sim.now() + config.telemetry.sample_interval);
 
   std::uint64_t long_flow_bits = 0;
   topo.bottleneck().on_delivered = [&](const net::Packet& p) {
@@ -144,45 +110,25 @@ MixedFlowExperimentResult run_mixed_flow_experiment(const MixedFlowExperimentCon
     }
   };
 
-  stats::OnlineStats queue_occupancy;
-  const auto queue_interval = sim::SimTime::milliseconds(10);
-  stats::PeriodicSampler queue_sampler{sim, queue_interval, [&] {
-    const auto q = static_cast<double>(topo.bottleneck().occupancy_packets());
-    queue_occupancy.add(q);
-    return q;
-  }};
-  queue_sampler.start(sim.now() + queue_interval);
-
-  tele.run_guarded(config.warmup + config.measure);
-
-  if (auditor) {
-    auditor->audit_now();
-    auditor->require_clean();
-  }
+  run.sample_queue(sim::SimTime::milliseconds(10));
+  run.measure();
 
   MixedFlowExperimentResult result;
-  result.utilization = meter.utilization();
+  result.utilization = run.utilization();
   const auto afct = short_flows.completions().afct_filtered(measure_start);
   result.afct_seconds = afct.mean();
   result.short_flows_completed = afct.count();
-  result.mean_queue_packets = queue_occupancy.mean();
+  result.mean_queue_packets = run.mean_queue_packets();
   result.mean_rtt_sec = topo.mean_rtt().to_seconds();
   result.bdp_packets = topo.bdp_packets(config.tcp.segment);
   result.long_flow_throughput_bps =
       static_cast<double>(long_flow_bits) / config.measure.to_seconds();
-
-  const auto& qstats = topo.bottleneck().queue().stats();
-  const auto offered = topo.bottleneck().stats().packets_delivered +
-                       static_cast<std::uint64_t>(topo.bottleneck().queue().size_packets()) +
-                       qstats.dropped_packets;
-  result.drop_probability = offered > 0 ? static_cast<double>(qstats.dropped_packets) /
-                                              static_cast<double>(offered)
-                                        : 0.0;
-  for (const auto& link : topo.links()) result.fault_drops += link->fault_stats().total();
-  if (tele.flow_stats() != nullptr) {
-    for (const auto& s : long_sources) tele.record_tcp_flow(*s, sim.now());
+  result.drop_probability = run.drop_fraction();
+  result.fault_drops = run.fault_drops();
+  if (run.tele.flow_stats() != nullptr) {
+    for (const auto& s : long_sources) run.tele.record_tcp_flow(*s, sim.now());
   }
-  result.telemetry = tele.finish();
+  result.telemetry = run.finish();
   return result;
 }
 

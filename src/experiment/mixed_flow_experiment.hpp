@@ -6,12 +6,8 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
-#include "experiment/telemetry_hookup.hpp"
-#include "fault/fault_schedule.hpp"
-#include "net/dumbbell.hpp"
-#include "sim/event_queue.hpp"
+#include "experiment/dumbbell_run.hpp"
 #include "tcp/tcp_source.hpp"
 #include "traffic/flow_size.hpp"
 
@@ -19,7 +15,7 @@ namespace rbs::experiment {
 
 enum class ShortFlowSizing : std::uint8_t { kFixed, kPareto };
 
-struct MixedFlowExperimentConfig {
+struct MixedFlowExperimentConfig : RunControls {
   core::BitsPerSec bottleneck_rate{core::BitsPerSec{155e6}};
   sim::SimTime bottleneck_delay{sim::SimTime::milliseconds(10)};
   std::int64_t buffer_packets{100};
@@ -45,23 +41,6 @@ struct MixedFlowExperimentConfig {
   tcp::TcpConfig tcp{};
   sim::SimTime warmup{sim::SimTime::seconds(10)};
   sim::SimTime measure{sim::SimTime::seconds(40)};
-  std::uint64_t seed{1};
-
-  /// Scheduler ready-queue backend. Both backends fire events in bitwise-
-  /// identical order (asserted by tests/golden_test.cpp under each); the
-  /// timing wheel is the fast default, the 4-ary heap the reference.
-  sim::SchedulerBackend scheduler_backend{sim::SchedulerBackend::kWheel};
-
-  /// Paranoia mode: run under an InvariantAuditor (scheduler, bottleneck
-  /// queue, both workloads) and throw std::runtime_error on any violation.
-  bool checked{false};
-  std::uint64_t audit_every_events{50'000};
-
-  /// Observability: metrics snapshot + time series, tracing, profiling.
-  TelemetryConfig telemetry{};
-
-  /// Injected fault windows (empty = no injector; see docs/faults.md).
-  fault::FaultSchedule faults{};
 };
 
 struct MixedFlowExperimentResult {
@@ -81,6 +60,9 @@ struct MixedFlowExperimentResult {
   TelemetryResult telemetry;
 };
 
+/// Throws std::invalid_argument for num_long_flows < 0, num_short_leaves
+/// < 1, short_flow_load <= 0, measure <= 0 and for the run-level
+/// conditions of DumbbellRun.
 [[nodiscard]] MixedFlowExperimentResult run_mixed_flow_experiment(
     const MixedFlowExperimentConfig& config);
 

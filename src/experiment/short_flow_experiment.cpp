@@ -1,193 +1,68 @@
 #include "experiment/short_flow_experiment.hpp"
 
 #include <algorithm>
-#include <cassert>
-#include <memory>
 
-#include "fault/fault_injector.hpp"
-#include "sim/simulation.hpp"
-#include "stats/online_stats.hpp"
-#include "stats/time_series.hpp"
-#include "stats/utilization.hpp"
 #include "traffic/short_flow_workload.hpp"
 
 namespace rbs::experiment {
 
 ShortFlowExperimentResult run_short_flow_experiment(const ShortFlowExperimentConfig& config) {
-  // The schedule horizon is bounded by the run length: nothing is ever
-  // scheduled past warmup + measure, so backend=auto can resolve from it.
-  sim::Simulation sim{config.seed, config.scheduler_backend,
-                      config.warmup + config.measure};
-  ExperimentTelemetry tele{sim, config.telemetry};
-
-  net::DumbbellConfig topo_cfg;
-  topo_cfg.num_leaves = config.num_leaves;
-  topo_cfg.bottleneck_rate = config.bottleneck_rate;
-  topo_cfg.bottleneck_delay = config.bottleneck_delay;
-  topo_cfg.buffer_packets = config.buffer_packets;
-  topo_cfg.access_rate = config.access_rate;
-  topo_cfg.access_delay_min = config.access_delay_min;
-  topo_cfg.access_delay_max = config.access_delay_max;
-  net::Dumbbell topo{sim, topo_cfg};
+  require(config.load > 0, "short-flow experiment: load must be > 0");
+  DumbbellRun run{config, dumbbell_for(config, config.num_leaves), config.warmup,
+                  config.measure};
 
   traffic::FixedFlowSize sizes{config.flow_packets};
   traffic::ShortFlowWorkloadConfig wl_cfg;
   wl_cfg.tcp = config.tcp;
   wl_cfg.arrivals_per_sec = traffic::arrival_rate_for_load(
       config.load, config.bottleneck_rate, sizes.mean(), config.tcp.segment);
-  traffic::ShortFlowWorkload workload{sim, topo, sizes, wl_cfg};
+  traffic::ShortFlowWorkload workload{run.sim, run.topo, sizes, wl_cfg};
 
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (!config.faults.empty()) {
-    injector = std::make_unique<fault::FaultInjector>(sim);
-    for (const auto& link : topo.links()) injector->attach(*link);
-    injector->arm(config.faults);
-  }
-
-  std::unique_ptr<check::InvariantAuditor> auditor;
-  if (config.checked) {
-    auditor = std::make_unique<check::InvariantAuditor>();
-    auditor->add("bottleneck.queue", topo.bottleneck().queue());
-    auditor->add("short_flows", workload);
-    if (injector) auditor->add("fault.injector", *injector);
-    sim.enable_auditing(*auditor, config.audit_every_events);
-    tele.attach_auditor(*auditor);
-  }
-  tele.arm_crash_probes(topo.bottleneck());
-
-  tele.run_guarded(config.warmup);
-  topo.bottleneck().reset_stats();
+  run.arm([&workload](check::InvariantAuditor& auditor) { auditor.add("short_flows", workload); });
+  run.warm_up({{"flows_active", [&workload] {
+                  return static_cast<double>(workload.flows_active());
+                }}});
   // Only flows that start inside the measurement window count toward AFCT.
-  const auto measure_start = sim.now();
+  const auto measure_start = run.sim.now();
 
   // Per-flow harvest at reap time, armed at measurement start so warmup
   // completions stay out of the rollup (mirroring afct_filtered). The hub
   // sees every completed flow once; memory stays bounded by the active set.
-  if (tele.flow_stats() != nullptr) {
-    workload.on_flow_complete = [&tele, &sim, measure_start](const tcp::TcpSource& src) {
-      if (src.start_time() >= measure_start) tele.record_tcp_flow(src, sim.now());
+  if (run.tele.flow_stats() != nullptr) {
+    workload.on_flow_complete = [&run, measure_start](const tcp::TcpSource& src) {
+      if (src.start_time() >= measure_start) run.tele.record_tcp_flow(src, run.sim.now());
     };
   }
-  stats::UtilizationMeter meter{sim, topo.bottleneck()};
-  meter.begin();
-
-  tele.add_bottleneck_probes(topo.bottleneck());
-  tele.add_probe("flows_active",
-                 [&workload] { return static_cast<double>(workload.flows_active()); });
-  tele.start(sim.now() + config.telemetry.sample_interval);
 
   // Sample the queue once per packet service time — fine-grained enough to
   // catch burst-scale excursions.
   const double pkt_time_sec =
       8.0 * static_cast<double>(config.tcp.segment.count()) / config.bottleneck_rate.bps();
-  const auto sample_every = sim::SimTime::from_seconds(std::max(pkt_time_sec, 1e-6));
-  std::vector<std::uint64_t> occupancy_counts;  // index = occupancy in packets
-  std::uint64_t occupancy_samples = 0;
-  stats::OnlineStats queue_occupancy;
-  stats::PeriodicSampler queue_sampler{sim, sample_every, [&] {
-    const auto q = topo.bottleneck().occupancy_packets();
-    if (static_cast<std::size_t>(q) >= occupancy_counts.size()) {
-      occupancy_counts.resize(static_cast<std::size_t>(q) + 1, 0);
-    }
-    ++occupancy_counts[static_cast<std::size_t>(q)];
-    ++occupancy_samples;
-    queue_occupancy.add(static_cast<double>(q));
-    return static_cast<double>(q);
-  }};
-  queue_sampler.start(sim.now() + sample_every);
-
-  // Steady-state detection on the telemetry cadence (see the long-flow
-  // experiment for the probe rationale).
-  std::unique_ptr<telemetry::ConvergenceDetector> conv;
-  std::unique_ptr<stats::PeriodicSampler> conv_sampler;
-  if (config.telemetry.metrics || config.convergence_early_exit) {
-    conv = std::make_unique<telemetry::ConvergenceDetector>(config.convergence);
-    const double interval_sec = config.telemetry.sample_interval.to_seconds();
-    conv_sampler = std::make_unique<stats::PeriodicSampler>(
-        sim, config.telemetry.sample_interval,
-        [&sim, &topo, det = conv.get(), interval_sec,
-         prev_bits = topo.bottleneck().stats().bits_delivered,
-         prev_drops = topo.bottleneck().queue().stats().dropped_packets,
-         rate = topo.bottleneck().rate_bps()]() mutable {
-          const std::uint64_t bits = topo.bottleneck().stats().bits_delivered;
-          const std::uint64_t drops = topo.bottleneck().queue().stats().dropped_packets;
-          const double util = static_cast<double>(bits - prev_bits) / (rate * interval_sec);
-          const double drop_pps = static_cast<double>(drops - prev_drops) / interval_sec;
-          prev_bits = bits;
-          prev_drops = drops;
-          det->observe(sim.now(), util,
-                       static_cast<double>(topo.bottleneck().occupancy_packets()), drop_pps);
-          return det->converged() ? 1.0 : 0.0;
-        });
-    conv_sampler->start(sim.now() + config.telemetry.sample_interval);
-  }
-
-  const sim::SimTime measure_end = config.warmup + config.measure;
-  if (config.convergence_early_exit && conv) {
-    while (sim.now() < measure_end && !conv->converged()) {
-      tele.run_guarded(std::min(measure_end, sim.now() + config.telemetry.sample_interval));
-    }
-    if (sim.now() < measure_end) conv->mark_truncated();
-  } else {
-    tele.run_guarded(measure_end);
-  }
-
-  if (auditor) {
-    auditor->audit_now();
-    auditor->require_clean();
-  }
+  run.sample_queue(sim::SimTime::from_seconds(std::max(pkt_time_sec, 1e-6)));
+  run.measure(&config.convergence, config.convergence_early_exit);
 
   ShortFlowExperimentResult result;
   const auto afct = workload.completions().afct_filtered(measure_start);
   result.afct_seconds = afct.mean();
   result.flows_completed = afct.count();
-  result.utilization = meter.utilization();
-  result.mean_queue_packets = queue_occupancy.mean();
-  result.mean_rtt_sec = topo.mean_rtt().to_seconds();
-
-  const auto& qstats = topo.bottleneck().queue().stats();
-  const auto offered = topo.bottleneck().stats().packets_delivered +
-                       static_cast<std::uint64_t>(topo.bottleneck().queue().size_packets()) +
-                       qstats.dropped_packets;
-  result.drop_probability = offered > 0 ? static_cast<double>(qstats.dropped_packets) /
-                                              static_cast<double>(offered)
-                                        : 0.0;
-
-  // Survival function P(Q >= b) from the occupancy census.
-  if (occupancy_samples > 0) {
-    result.queue_tail.resize(occupancy_counts.size() + 1, 0.0);
-    double above = 0.0;
-    for (std::size_t b = occupancy_counts.size(); b-- > 0;) {
-      above += static_cast<double>(occupancy_counts[b]);
-      result.queue_tail[b] = above / static_cast<double>(occupancy_samples);
-    }
-  }
-  for (const auto& link : topo.links()) result.fault_drops += link->fault_stats().total();
-  if (conv) conv->export_into(sim.metrics());
-  result.telemetry = tele.finish();
+  result.utilization = run.utilization();
+  result.mean_queue_packets = run.mean_queue_packets();
+  result.mean_rtt_sec = run.topo.mean_rtt().to_seconds();
+  result.drop_probability = run.drop_fraction();
+  result.queue_tail = run.queue_tail();
+  result.fault_drops = run.fault_drops();
+  result.telemetry = run.finish();
   return result;
 }
 
 std::int64_t min_buffer_for_afct(ShortFlowExperimentConfig config, double baseline_afct_sec,
                                  double afct_penalty, std::int64_t lo, std::int64_t hi) {
-  assert(lo >= 1 && hi >= lo && baseline_afct_sec > 0);
+  require(baseline_afct_sec > 0, "AFCT bisection: baseline AFCT must be > 0");
   const double threshold = baseline_afct_sec * (1.0 + afct_penalty);
-  auto acceptable = [&](std::int64_t buffer) {
+  return bisect_buffer(lo, hi, [&](std::int64_t buffer) {
     config.buffer_packets = buffer;
-    const auto r = run_short_flow_experiment(config);
-    return r.afct_seconds <= threshold;
-  };
-
-  if (!acceptable(hi)) return hi;
-  while (lo < hi) {
-    const std::int64_t mid = lo + (hi - lo) / 2;
-    if (acceptable(mid)) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return lo;
+    return run_short_flow_experiment(config).afct_seconds <= threshold;
+  });
 }
 
 }  // namespace rbs::experiment

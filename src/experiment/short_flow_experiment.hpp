@@ -5,19 +5,14 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
-#include "experiment/telemetry_hookup.hpp"
-#include "fault/fault_schedule.hpp"
-#include "net/dumbbell.hpp"
-#include "sim/event_queue.hpp"
-#include "stats/histogram.hpp"
+#include "experiment/dumbbell_run.hpp"
 #include "tcp/tcp_source.hpp"
 #include "traffic/flow_size.hpp"
 
 namespace rbs::experiment {
 
-struct ShortFlowExperimentConfig {
+struct ShortFlowExperimentConfig : RunControls {
   core::BitsPerSec bottleneck_rate{core::BitsPerSec{80e6}};
   sim::SimTime bottleneck_delay{sim::SimTime::milliseconds(20)};
   std::int64_t buffer_packets{500};
@@ -37,29 +32,11 @@ struct ShortFlowExperimentConfig {
   tcp::TcpConfig tcp{};
   sim::SimTime warmup{sim::SimTime::seconds(5)};
   sim::SimTime measure{sim::SimTime::seconds(40)};
-  std::uint64_t seed{1};
-
-  /// Scheduler ready-queue backend. Both backends fire events in bitwise-
-  /// identical order (asserted by tests/golden_test.cpp under each); the
-  /// timing wheel is the fast default, the 4-ary heap the reference.
-  sim::SchedulerBackend scheduler_backend{sim::SchedulerBackend::kWheel};
-
-  /// Paranoia mode: run under an InvariantAuditor (scheduler, bottleneck
-  /// queue, workload) and throw std::runtime_error on any violation.
-  bool checked{false};
-  std::uint64_t audit_every_events{50'000};
-
-  /// Observability: metrics snapshot + time series, tracing, profiling,
-  /// flow stats, flight recorder.
-  TelemetryConfig telemetry{};
 
   /// Stop measuring early at detected steady state (opt-in; see the same
   /// field on LongFlowExperimentConfig for semantics and caveats).
   bool convergence_early_exit{false};
   telemetry::ConvergenceConfig convergence{};
-
-  /// Injected fault windows (empty = no injector; see docs/faults.md).
-  fault::FaultSchedule faults{};
 };
 
 struct ShortFlowExperimentResult {
@@ -80,12 +57,15 @@ struct ShortFlowExperimentResult {
   TelemetryResult telemetry;
 };
 
+/// Throws std::invalid_argument for load <= 0 and for the run-level
+/// conditions of DumbbellRun.
 [[nodiscard]] ShortFlowExperimentResult run_short_flow_experiment(
     const ShortFlowExperimentConfig& config);
 
 /// Smallest buffer whose AFCT is within `afct_penalty` (e.g. 0.125 = +12.5%)
 /// of the given baseline AFCT (measured with an effectively infinite
-/// buffer). Bisection over fresh runs.
+/// buffer). bisect_buffer over fresh runs; throws std::invalid_argument for
+/// a non-positive baseline.
 [[nodiscard]] std::int64_t min_buffer_for_afct(ShortFlowExperimentConfig config,
                                                double baseline_afct_sec, double afct_penalty,
                                                std::int64_t lo, std::int64_t hi);

@@ -66,6 +66,28 @@ struct TcpSourceStats {
   std::uint64_t acks_received{0};
   std::uint64_t dup_acks_received{0};
   std::uint64_t ecn_reductions{0};  ///< window reductions from ECN-Echo
+
+  TcpSourceStats& operator+=(const TcpSourceStats& o) noexcept {
+    data_packets_sent += o.data_packets_sent;
+    retransmissions += o.retransmissions;
+    fast_retransmits += o.fast_retransmits;
+    timeouts += o.timeouts;
+    acks_received += o.acks_received;
+    dup_acks_received += o.dup_acks_received;
+    ecn_reductions += o.ecn_reductions;
+    return *this;
+  }
+  /// Counter deltas, e.g. over a measurement window (`later - earlier`).
+  friend TcpSourceStats operator-(TcpSourceStats a, const TcpSourceStats& b) noexcept {
+    a.data_packets_sent -= b.data_packets_sent;
+    a.retransmissions -= b.retransmissions;
+    a.fast_retransmits -= b.fast_retransmits;
+    a.timeouts -= b.timeouts;
+    a.acks_received -= b.acks_received;
+    a.dup_acks_received -= b.dup_acks_received;
+    a.ecn_reductions -= b.ecn_reductions;
+    return a;
+  }
 };
 
 /// One TCP connection's sender.

@@ -36,16 +36,7 @@ std::vector<double> LongFlowWorkload::cwnd_snapshot() const {
 
 tcp::TcpSourceStats LongFlowWorkload::total_stats() const noexcept {
   tcp::TcpSourceStats total;
-  for (const auto& s : sources_) {
-    const auto& st = s->stats();
-    total.data_packets_sent += st.data_packets_sent;
-    total.retransmissions += st.retransmissions;
-    total.fast_retransmits += st.fast_retransmits;
-    total.timeouts += st.timeouts;
-    total.acks_received += st.acks_received;
-    total.dup_acks_received += st.dup_acks_received;
-    total.ecn_reductions += st.ecn_reductions;
-  }
+  for (const auto& s : sources_) total += s->stats();
   return total;
 }
 

@@ -2,6 +2,9 @@
 // the buffer-search helpers. Scaled-down links keep each run fast.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "experiment/dumbbell_run.hpp"
 #include "experiment/long_flow_experiment.hpp"
 #include "experiment/mixed_flow_experiment.hpp"
 #include "experiment/short_flow_experiment.hpp"
@@ -193,6 +196,85 @@ TEST(MixedFlowExperiment, Deterministic) {
   const auto b = run_mixed_flow_experiment(fast_mixed());
   EXPECT_DOUBLE_EQ(a.utilization, b.utilization);
   EXPECT_EQ(a.short_flows_completed, b.short_flows_completed);
+}
+
+TEST(BisectBuffer, FindsSmallestPassingBuffer) {
+  EXPECT_EQ(bisect_buffer(1, 100, [](std::int64_t b) { return b >= 37; }), 37);
+  EXPECT_EQ(bisect_buffer(5, 5, [](std::int64_t) { return true; }), 5);
+  EXPECT_EQ(bisect_buffer(1, 100, [](std::int64_t) { return false; }), 100);
+}
+
+TEST(TcpSourceStats, SumAndDeltaAreFieldwise) {
+  tcp::TcpSourceStats a{10, 2, 1, 1, 8, 3, 1};
+  const tcp::TcpSourceStats b{4, 1, 1, 0, 2, 1, 0};
+  a += b;
+  EXPECT_EQ(a.data_packets_sent, 14u);
+  EXPECT_EQ(a.dup_acks_received, 4u);
+  const auto d = a - b;
+  EXPECT_EQ(d.data_packets_sent, 10u);
+  EXPECT_EQ(d.retransmissions, 2u);
+  EXPECT_EQ(d.fast_retransmits, 1u);
+  EXPECT_EQ(d.timeouts, 1u);
+  EXPECT_EQ(d.acks_received, 8u);
+  EXPECT_EQ(d.dup_acks_received, 3u);
+  EXPECT_EQ(d.ecn_reductions, 1u);
+}
+
+// --- Hostile inputs: a diagnostic, never a hang, NaN or crash ---------------
+
+TEST(HostileInputs, RunLevelConditionsThrow) {
+  auto no_leaves = fast_short();
+  no_leaves.num_leaves = 0;
+  EXPECT_THROW((void)run_short_flow_experiment(no_leaves), std::invalid_argument);
+  auto negative_warmup = fast_long(2, 10);
+  negative_warmup.warmup = SimTime::seconds(-1);
+  EXPECT_THROW((void)run_long_flow_experiment(negative_warmup), std::invalid_argument);
+  auto negative_window = fast_short();
+  negative_window.measure = SimTime::seconds(-1);
+  EXPECT_THROW((void)run_short_flow_experiment(negative_window), std::invalid_argument);
+}
+
+TEST(HostileInputs, ZeroLengthRunBuildsTheWorldOnly) {
+  // A zero-horizon run is a set-up timing sample, not an error.
+  auto cfg = fast_long(4, 10);
+  cfg.warmup = cfg.measure = SimTime::zero();
+  const auto r = run_long_flow_experiment(cfg);
+  EXPECT_EQ(r.utilization, 0.0);
+  EXPECT_GT(r.mean_rtt_sec, 0.0);
+}
+
+TEST(HostileInputs, BisectionBracketThrows) {
+  const auto ok = [](std::int64_t) { return true; };
+  EXPECT_THROW((void)bisect_buffer(0, 10, ok), std::invalid_argument);
+  EXPECT_THROW((void)bisect_buffer(10, 9, ok), std::invalid_argument);
+  EXPECT_THROW((void)min_buffer_for_afct(fast_short(), 0.0, 0.1, 1, 10),
+               std::invalid_argument);
+}
+
+TEST(HostileInputs, LongFlowNeedsAFlow) {
+  EXPECT_THROW((void)run_long_flow_experiment(fast_long(0, 10)), std::invalid_argument);
+}
+
+TEST(HostileInputs, ShortFlowNeedsPositiveLoad) {
+  auto cfg = fast_short();
+  cfg.load = 0.0;
+  EXPECT_THROW((void)run_short_flow_experiment(cfg), std::invalid_argument);
+}
+
+TEST(HostileInputs, MixedFlowConditionsThrow) {
+  auto negative_long = fast_mixed();
+  negative_long.num_long_flows = -3;
+  EXPECT_THROW((void)run_mixed_flow_experiment(negative_long), std::invalid_argument);
+  auto no_short_leaves = fast_mixed();
+  no_short_leaves.num_short_leaves = 0;
+  EXPECT_THROW((void)run_mixed_flow_experiment(no_short_leaves), std::invalid_argument);
+  auto no_short_load = fast_mixed();
+  no_short_load.short_flow_load = 0.0;
+  EXPECT_THROW((void)run_mixed_flow_experiment(no_short_load), std::invalid_argument);
+  // Long-flow throughput divides by the window.
+  auto empty_window = fast_mixed();
+  empty_window.measure = SimTime::zero();
+  EXPECT_THROW((void)run_mixed_flow_experiment(empty_window), std::invalid_argument);
 }
 
 }  // namespace
