@@ -38,6 +38,8 @@
 //   pacing      0|1 paced TCP senders         [0]
 //   delack      0|1 delayed ACKs              [0]
 //   seed        RNG seed                      [1]
+//   flows, threads, seed and flow_len take plain base-10 integers; any other
+//               value (1e12, 0.5, nan, -1 for threads/seed) exits 2
 //   paranoia    0|1 run the invariant auditor (also --paranoia): every 50k
 //               events every registered subsystem re-verifies its internal
 //               state (queue conservation, heap order, TCP sequence bounds)
@@ -75,10 +77,12 @@
 //                         exception, dump recent trace events, a metrics
 //                         snapshot, and live queue/scheduler state as
 //                         deterministic JSON to PATH (single-point runs)
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -131,6 +135,32 @@ bool load_config_file(const std::string& path, KeyValues& out) {
 double get_num(const KeyValues& kv, const std::string& key, double fallback) {
   const auto it = kv.find(key);
   return it == kv.end() ? fallback : std::atof(it->second.c_str());
+}
+
+/// Strict base-10 integer parse: the whole of `text` must be an integer that
+/// fits a long long ("1e12", "0.5" and "nan" are rejected).
+bool parse_int(const std::string& text, long long& out) {
+  char* end = nullptr;
+  errno = 0;
+  out = std::strtoll(text.c_str(), &end, 10);
+  return end != text.c_str() && *end == '\0' && errno != ERANGE;
+}
+
+/// Integer key in [lo, hi]; any other value throws, which rbsim reports as
+/// one diagnostic line and exit code 2.
+long long get_int(const KeyValues& kv, const std::string& key, long long fallback, long long lo,
+                  long long hi) {
+  const auto it = kv.find(key);
+  if (it == kv.end()) return fallback;
+  long long v = 0;
+  if (!parse_int(it->second, v)) {
+    throw std::invalid_argument("bad " + key + " '" + it->second + "' (want an integer)");
+  }
+  if (v < lo || v > hi) {
+    throw std::invalid_argument("bad " + key + " '" + it->second + "' (want an integer in [" +
+                                std::to_string(lo) + ", " + std::to_string(hi) + "])");
+  }
+  return v;
 }
 
 std::string get_str(const KeyValues& kv, const std::string& key, const std::string& fallback) {
@@ -217,7 +247,11 @@ int run_rbsim(int argc, char** argv) {
 
   const std::string mode = get_str(kv, "mode", "long");
   const double rate_bps = get_num(kv, "rate_mbps", 155.0) * 1e6;
-  const int flows = static_cast<int>(get_num(kv, "flows", 100));
+  constexpr long long kIntMin = std::numeric_limits<int>::min();
+  constexpr long long kIntMax = std::numeric_limits<int>::max();
+  constexpr long long kLongMin = std::numeric_limits<long long>::min();
+  constexpr long long kLongMax = std::numeric_limits<long long>::max();
+  const int flows = static_cast<int>(get_int(kv, "flows", 100, kIntMin, kIntMax));
   const double duration = get_num(kv, "duration", 20.0);
   const double warmup = get_num(kv, "warmup", 10.0);
   const double rtt_sec = 0.080;  // topology default
@@ -238,9 +272,8 @@ int run_rbsim(int argc, char** argv) {
       } else if (item == "bdp") {
         buffers.push_back(bdp);
       } else {
-        char* end = nullptr;
-        const long long v = std::strtoll(item.c_str(), &end, 10);
-        if (end == item.c_str() || *end != '\0' || v <= 0) {
+        long long v = 0;
+        if (!parse_int(item, v) || v <= 0) {
           std::fprintf(stderr, "rbsim: bad buffer entry '%s' (want a positive packet count, "
                                "'auto', or 'bdp')\n", item.c_str());
           return 2;
@@ -252,11 +285,11 @@ int run_rbsim(int argc, char** argv) {
   }
   const std::int64_t buffer = buffers.front();
   const bool sweeping = buffers.size() > 1;
-  const int threads = static_cast<int>(get_num(kv, "threads", 0));
+  const int threads = static_cast<int>(get_int(kv, "threads", 0, 0, kIntMax));
 
   // Run-level controls shared by every mode (and every sweep point).
   experiment::RunControls controls;
-  controls.seed = static_cast<std::uint64_t>(get_num(kv, "seed", 1));
+  controls.seed = static_cast<std::uint64_t>(get_int(kv, "seed", 1, 0, kLongMax));
 
   // Scheduler ready-queue backend. Both fire bitwise-identically; the wheel
   // is the fast default and the heap the reference structure.
@@ -415,17 +448,6 @@ int run_rbsim(int argc, char** argv) {
 
     if (profile) {
       std::printf("\n%s", sweep_prof.summary().c_str());
-      // Dispatch health: every worker should claim a similar share; one
-      // worker owning almost all points means the batch was too small to
-      // share or the helpers never woke in time.
-      const auto dispatch = runner.dispatch_stats();
-      std::printf("dispatch     :");
-      for (std::size_t w = 0; w < dispatch.size(); ++w) {
-        std::printf(" w%zu=%llu pts (%llu chunks)", w,
-                    static_cast<unsigned long long>(dispatch[w].points),
-                    static_cast<unsigned long long>(dispatch[w].chunks));
-      }
-      std::printf("\n");
     }
     // Per-point telemetry artifacts: each sweep point owns its Simulation
     // (and thus its registry/series), so --metrics out.json yields
@@ -519,7 +541,7 @@ int run_rbsim(int argc, char** argv) {
     experiment::ShortFlowExperimentConfig cfg{controls};
     cfg.bottleneck_rate = core::BitsPerSec{rate_bps};
     cfg.load = get_num(kv, "short_load", 0.8);
-    cfg.flow_packets = static_cast<std::int64_t>(get_num(kv, "flow_len", 62));
+    cfg.flow_packets = get_int(kv, "flow_len", 62, kLongMin, kLongMax);
     cfg.warmup = sim::SimTime::from_seconds(warmup);
     cfg.measure = sim::SimTime::from_seconds(duration);
 
@@ -562,7 +584,7 @@ int run_rbsim(int argc, char** argv) {
     cfg.bottleneck_rate = core::BitsPerSec{rate_bps};
     cfg.num_long_flows = flows;
     cfg.short_flow_load = get_num(kv, "short_load", 0.2);
-    cfg.short_flow_packets = static_cast<std::int64_t>(get_num(kv, "flow_len", 62));
+    cfg.short_flow_packets = get_int(kv, "flow_len", 62, kLongMin, kLongMax);
     // Flavor only: the mixed experiment owns its queue discipline, so the
     // DCTCP step-marking profile applies in long mode alone.
     if (cca) cfg.tcp.flavor = *cca;

@@ -9,13 +9,13 @@ Two legs, both requiring clang++ (the only compiler implementing
             cleanly under -Wthread-safety -Werror=thread-safety.
 
   negative  tests/thread_safety/guarded_access_poke.cpp reads ONE guarded
-            SweepBatchState field without the mutex (selected with
+            SweepClaims field without the mutex (selected with
             -DRBS_TSA_FIELD=<field>) and must FAIL to compile, once per
             guarded field. If any poke compiles, an RBS_GUARDED_BY was
             removed or weakened — the harness (and the CI thread-safety
             leg) fails, naming the field.
 
-This is the machine check behind the claim in sweep_dispatch.hpp: deleting
+This is the machine check behind the claim in dispatch_protocol.hpp: deleting
 any one annotation there turns a data-race hazard back into silently
 accepted code, so the harness turns it into a build failure instead.
 
@@ -41,17 +41,10 @@ POSITIVE_TUS = (
 
 POKE_TU = "tests/thread_safety/guarded_access_poke.cpp"
 
-# Every RBS_GUARDED_BY field of detail::SweepBatchState. Keep in sync with
-# src/experiment/sweep_dispatch.hpp — a field listed here but no longer
+# Every RBS_GUARDED_BY field of detail::SweepClaims. Keep in sync with
+# src/experiment/dispatch_protocol.hpp — a field listed here but no longer
 # guarded there is exactly the regression the negative leg exists to catch.
-GUARDED_FIELDS = (
-    "point",
-    "batch_size",
-    "chunk",
-    "in_flight",
-    "sleeping_helpers",
-    "first_error",
-)
+GUARDED_FIELDS = ("next", "first_error")
 
 BASE_FLAGS = [
     "-std=c++20",
@@ -99,8 +92,8 @@ def main() -> int:
         proc = compile_tu(clang, REPO / POKE_TU, [f"-DRBS_TSA_FIELD={field}"])
         if proc.returncode == 0:
             failures.append(
-                f"negative: unguarded read of SweepBatchState::{field} COMPILED — "
-                "its RBS_GUARDED_BY annotation in src/experiment/sweep_dispatch.hpp "
+                f"negative: unguarded read of SweepClaims::{field} COMPILED — "
+                "its RBS_GUARDED_BY annotation in src/experiment/dispatch_protocol.hpp "
                 "is missing or no longer enforced"
             )
         else:

@@ -17,7 +17,7 @@ An AST-grounded analyzer with simulator-specific rules the regex lint
   R6  concurrency classification: no writes through by-ref captures inside
       parallel sweep lambdas, and every mutable field of a cross-thread
       class (one owning mutexes/threads) must be atomic, RBS_GUARDED_BY,
-      a per-worker PaddedCounters slot, or const
+      or const
   R7  pooled-event lifetime: no EventPool slot reference/pointer captured
       into a scheduled callback that outlives the slot's recycle point
   R8  backend purity: simulation-semantics code must not branch on the

@@ -67,7 +67,7 @@ POOL_LIFETIME_ALLOWED_PREFIXES = ("src/sim/",)
 BACKEND_PURITY_ALLOWED_PREFIXES = ("src/sim/", "src/telemetry/", "bench/")
 
 # Field classifications (see symbols.py) that sanction a cross-thread write.
-_SANCTIONED_WRITE_CLASSES = {"atomic", "guarded", "padded"}
+_SANCTIONED_WRITE_CLASSES = {"atomic", "guarded"}
 
 # The concurrency-primitive layer: the annotated-mutex wrappers and the
 # model-checker instrumentation/scheduler. R10 sanctions raw std primitives
@@ -611,8 +611,7 @@ def rule_r6(path: str, tokens: List[Token], ctx: AnalysisContext) -> List[Findin
 
     # Prong (b): a class that owns threads/mutexes/condition variables is
     # cross-thread by construction; every mutable member must carry a
-    # concurrency classification (atomic / RBS_GUARDED_BY / PaddedCounter /
-    # const). Unclassified members are exactly the state -Wthread-safety
+    # concurrency classification (atomic / RBS_GUARDED_BY / const). Unclassified members are exactly the state -Wthread-safety
     # cannot see. The concurrency-primitive layer itself (annotation
     # wrappers, the model-checker scheduler) is sanctioned: it is the
     # instrument these classifications are expressed in, and its own
@@ -629,10 +628,9 @@ def rule_r6(path: str, tokens: List[Token], ctx: AnalysisContext) -> List[Findin
                     Finding(path, field.line, "R6",
                             f"field '{field.name}' of cross-thread class "
                             f"'{cls_info.name}' has no concurrency classification",
-                            "classify it: std::atomic, RBS_GUARDED_BY(mutex), a "
-                            "per-worker PaddedCounters slot, or const — the "
-                            "thread-safety analysis cannot check what is not "
-                            "annotated")
+                            "classify it: std::atomic, RBS_GUARDED_BY(mutex), or "
+                            "const — the thread-safety analysis cannot check what "
+                            "is not annotated")
                 )
     return findings
 

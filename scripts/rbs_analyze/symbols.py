@@ -9,8 +9,6 @@ each class/struct, the *concurrency classification* of every data member:
            cross-thread
   guarded  carries RBS_GUARDED_BY(...) — lock discipline machine-checked by
            -Wthread-safety (see src/core/thread_annotations.hpp)
-  padded   a per-worker PaddedCounter slot (one cache line per owner; only
-           the owning worker writes it)
   const    immutable after construction
   plain    none of the above — exactly the members R6 flags when the class
            is cross-thread
@@ -77,7 +75,7 @@ _NON_MEMBER_HEADS = {
 @dataclasses.dataclass
 class FieldInfo:
     name: str
-    classification: str  # atomic | sync | guarded | padded | const | plain
+    classification: str  # atomic | sync | guarded | const | plain
     line: int
     # True when the declarator spells a std::-qualified primitive (raw
     # std::atomic / std::mutex / std::condition_variable ...) instead of the
@@ -108,11 +106,11 @@ class SymbolIndex:
         """The classification of `name` wherever it is declared as a field.
 
         If the same name is declared in several classes with different
-        classifications, the *least* safe one wins (plain < const < padded
-        < guarded < sync < atomic), so a sanctioned homonym elsewhere can
-        never hide a hazard.
+        classifications, the *least* safe one wins (plain < const < guarded
+        < sync < atomic), so a sanctioned homonym elsewhere can never hide a
+        hazard.
         """
-        order = ["plain", "const", "padded", "guarded", "sync", "atomic"]
+        order = ["plain", "const", "guarded", "sync", "atomic"]
         best: Optional[str] = None
         for cls in self.classes:
             for f in cls.fields:
@@ -309,8 +307,6 @@ def _classification(texts: List[str], name: str) -> str:
         return "atomic"
     if any(t in SYNC_TYPE_TOKENS for t in type_texts):
         return "sync"
-    if any("PaddedCounter" in t for t in type_texts):
-        return "padded"
     if texts and texts[0] in ("const", "constexpr"):
         return "const"
     if "const" in type_texts and "*" not in type_texts and "&" not in type_texts:

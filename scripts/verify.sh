@@ -14,7 +14,8 @@
 #      flow-stats artifacts (and any post-mortem) with check_telemetry.py
 #   7. CCA smoke: one short rbsim run per modern congestion-control flavor
 #      (cubic, bbr, dctcp); each must finish, report utilization, and label
-#      every flow with its flavor in the flow-stats rollup
+#      every flow with its flavor in the flow-stats rollup; hostile inputs
+#      (zero load, zero flow length, flows=1e12) must exit 2, not hang
 #   8. ASan/UBSan + RBS_CHECKED: rebuild with AddressSanitizer +
 #      UndefinedBehaviorSanitizer and the hot-path invariant macros armed,
 #      run the complete test suite
@@ -24,7 +25,7 @@
 #  10. model check: rebuild with RBS_MODEL_CHECK=ON (instrumentation is
 #      per-target in tests/mc/ — production libraries are untouched) and
 #      run the interleaving explorer: harness conformance, exhaustive
-#      dispatch-protocol models, mutation kills, the stats ordering pin
+#      claim-protocol models, mutation kills
 #  11. thread-safety annotations: clang++ -Wthread-safety positive +
 #      compile-fail harness (scripts/check_thread_safety.py). Needs a
 #      clang++ binary; skipped loudly when none exists (the analysis is
@@ -152,13 +153,17 @@ for i in (0, 1):
     labeled = json.load(open(path))["flow_stats"]["cca"]
     assert list(labeled) == ["cubic"], f"{path}: flow labels wrong: {labeled}"
 EOF
-# Hostile input: a zero short-flow load must fail fast with exit 2, not hang.
-status=0
-timeout 10 ./build/examples/rbsim mode=short short_load=0 >/dev/null 2>&1 || status=$?
-if [ "$status" -ne 2 ]; then
-  echo "verify: FATAL: rbsim mode=short short_load=0 exited $status, want 2" >&2
-  exit 1
-fi
+# Hostile inputs must fail fast with exit 2, not hang: a zero short-flow
+# load, a zero flow length, and an integer key that does not fit an int.
+for args in "mode=short short_load=0" "mode=short flow_len=0" "flows=1e12"; do
+  status=0
+  # shellcheck disable=SC2086  # $args is deliberately word-split
+  timeout 10 ./build/examples/rbsim $args >/dev/null 2>&1 || status=$?
+  if [ "$status" -ne 2 ]; then
+    echo "verify: FATAL: rbsim $args exited $status, want 2" >&2
+    exit 1
+  fi
+done
 
 echo "=== [8/11] ASan/UBSan + RBS_CHECKED: full test suite ==="
 cmake -B build-asan -S . -DRBS_ASAN=ON -DRBS_CHECKED=ON >/dev/null
@@ -181,8 +186,7 @@ echo "=== [10/11] model check: interleaving explorer over tests/mc ==="
 # production libraries in build-mc are compiled exactly as in tier-1.
 cmake -B build-mc -S . -DRBS_MODEL_CHECK=ON >/dev/null
 cmake --build build-mc -j "$JOBS" \
-  --target mc_harness_test dispatch_protocol_mc_test dispatch_mutation_test \
-  dispatch_stats_mc_test
+  --target mc_harness_test dispatch_protocol_mc_test dispatch_mutation_test
 ctest --test-dir build-mc --output-on-failure -R '^lint\.model_check\.'
 
 echo "=== [11/11] thread-safety annotations (clang -Wthread-safety) ==="

@@ -1,74 +1,38 @@
-// The sweep dispatch protocol as free functions over SweepBatchState.
+// The sweep claim protocol: the one loop every worker of a batch runs.
 //
-// This is the code that actually runs in SweepRunner (sweep.cpp calls these
-// and nothing else touches the protocol state) AND the code the model
-// checker explores (tests/mc/ runs the same functions on virtual threads
-// under RBS_MODEL_CHECK). One definition, two executions — the models
-// cannot drift from production because there is no second copy to drift.
+// sweep.cpp runs claim_loop on real threads; tests/mc/ runs the same function
+// on the model checker's virtual threads (RBS_MODEL_CHECK, where every Mutex
+// operation is a schedule point), so the models cannot drift from production.
 //
-// Protocol walkthrough:
-//   publish   worker 0 writes the batch parameters (point fn, size, chunk
-//             width) under `mutex`, resets the claim cursor, bumps the
-//             lock-free `batch_generation` (release), and wakes any helper
-//             that fell back to the condition variable.
-//   claim     every worker — worker 0 immediately, helpers after they
-//             notice the generation change and register under the mutex —
-//             claims chunked index ranges off the shared `next_index`
-//             cursor with one relaxed fetch_add per chunk. Atomicity of the
-//             RMW is what makes each index execute exactly once; ordering
-//             is supplied by the mutex at registration and drain.
-//   drain     worker 0 waits until the cursor is exhausted AND every
-//             registered helper checked out (`in_flight == 0`), then closes
-//             the batch (null point) so the cursor and parameters can be
-//             reused. Point exceptions are captured once and rethrown here.
-//   shutdown  the destructor raises `shutting_down` *under the mutex* —
-//             that is load-bearing: a helper decides to sleep while holding
-//             the mutex, so a flag raised outside it could land exactly
-//             between the helper's predicate check and its wait, and the
-//             notify that follows would be lost (the helper sleeps forever
-//             and the join hangs). tests/mc/dispatch_mutation_test.cpp
-//             proves the model checker catches exactly that reordering.
+// Each worker takes index `next++` under `mutex` until the batch is
+// exhausted. A throwing point keeps the first exception in `first_error` and
+// moves the cursor to the end, so the other workers stop claiming. There is
+// no completion handshake: run_indexed joins its helper threads, and the join
+// is the happens-before edge from every point's writes to the caller's reads.
 //
-// The ProtocolMutation hooks exist to prove the model harness has teeth:
-// each one switches in a seeded, realistically-wrong variant of one
-// protocol step, and tests/mc/dispatch_mutation_test.cpp asserts the
-// explorer reports a violation with a replayable trace for every one of
-// them. In production builds the hooks are constexpr-false and every
-// mutated branch is dead code — the compiled protocol is identical to the
-// pre-hook code.
+// The RBS_GUARDED_BY annotations are load-bearing: tests/thread_safety/
+// asserts that touching either field without the mutex fails to compile
+// under -Wthread-safety (scripts/check_thread_safety.py). The
+// ProtocolMutation hook proves the models have teeth
+// (tests/mc/dispatch_mutation_test.cpp); in production it is constexpr-false
+// and the mutated branch is dead code.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <exception>
-#include <functional>
 #include <utility>
 
 #include "check/mc/types.hpp"
-#include "experiment/sweep.hpp"
-#include "experiment/sweep_dispatch.hpp"
+#include "core/thread_annotations.hpp"
 
 namespace rbs::experiment::detail {
 
 /// Seeded protocol bugs for mutation-kill testing (see file comment).
 enum class ProtocolMutation {
   kNone,
-  /// Claim with a load+store instead of the atomic fetch_add: two workers
-  /// can read the same cursor value and run the same chunk twice.
+  /// Read the cursor and write it back in two separate critical sections:
+  /// two workers can read the same value and run the same index twice.
   kTornClaim,
-  /// Raise `shutting_down` without taking the mutex: the store can land
-  /// between a helper's sleep decision and its wait — lost wakeup.
-  kShutdownOutsideLock,
-  /// Raise the flag correctly but skip the wakeup: a helper already asleep
-  /// on the condition variable never observes the shutdown.
-  kDropShutdownNotify,
-  /// Drain on cursor exhaustion alone, ignoring in_flight: the batch is
-  /// closed (and its state reused) while a helper is still mid-chunk.
-  kDrainIgnoresInFlight,
-  /// Publish the per-worker counters with relaxed instead of release
-  /// stores: dispatch_stats() readers lose the happens-before edge to the
-  /// work the counters summarize.
-  kRelaxedCounterPublish,
 };
 
 #ifdef RBS_MODEL_CHECK
@@ -83,165 +47,55 @@ inline bool protocol_mutation_is(ProtocolMutation m) {
 constexpr bool protocol_mutation_is(ProtocolMutation) { return false; }
 #endif
 
-/// Owner-only counter increment, published with release so a concurrent
-/// dispatch_stats() snapshot (relaxed loads + acquire fence) observes the
-/// counted work, not just the count.
-inline void bump_counter(check::mc::Atomic<std::uint64_t>& counter) {
-  const std::uint64_t next = counter.load(std::memory_order_relaxed) + 1;
-  if (protocol_mutation_is(ProtocolMutation::kRelaxedCounterPublish)) {
-    counter.store(next, std::memory_order_relaxed);
-  } else {
-    counter.store(next, std::memory_order_release);
-  }
-}
+/// The state one batch's workers share: the claim cursor and the first
+/// point exception. Lives on run_indexed's stack for the batch's lifetime.
+struct SweepClaims {
+  check::mc::Mutex mutex;
+  std::size_t next RBS_GUARDED_BY(mutex) = 0;
+  std::exception_ptr first_error RBS_GUARDED_BY(mutex);
+};
 
-/// Reads one worker's counters for a stats snapshot (relaxed; pair the
-/// whole snapshot with counters_snapshot_fence() *after* the loads).
-inline WorkerDispatchStats sample_counters(const PaddedCounters& counters) {
-  WorkerDispatchStats out;
-  out.chunks = counters.chunks.load(std::memory_order_relaxed);
-  out.points = counters.points.load(std::memory_order_relaxed);
-  return out;
-}
-
-/// Acquire fence closing a counters snapshot: orders the relaxed counter
-/// loads before anything the caller does with the snapshot, paired with the
-/// release stores in bump_counter. Costs nothing on x86; documents and
-/// enforces the edge everywhere else.
-inline void counters_snapshot_fence() { check::mc::acquire_fence(); }
-
-/// Claims chunked ranges until the cursor passes the batch end. Shared by
-/// the caller (worker 0) and the helpers.
-inline void dispatch_work(SweepBatchState& st,
-                          const std::function<void(std::size_t, int)>& fn,
-                          std::size_t n, std::size_t width, int worker,
-                          PaddedCounters* counters) {
-  PaddedCounters& mine = counters[static_cast<std::size_t>(worker)];
-  for (;;) {
-    std::size_t start;
-    if (protocol_mutation_is(ProtocolMutation::kTornClaim)) {
-      start = st.next_index.load(std::memory_order_relaxed);
-      st.next_index.store(start + width, std::memory_order_relaxed);
-    } else {
-      start = st.next_index.fetch_add(width, std::memory_order_relaxed);
-    }
-    if (start >= n) break;
-    const std::size_t end = start + width < n ? start + width : n;
-    bump_counter(mine.chunks);
-    for (std::size_t i = start; i < end; ++i) {
-      try {
-        fn(i, worker);
-        bump_counter(mine.points);
-      }
-      RBS_MC_RETHROW_ABORT
-      catch (...) {
-        {
-          check::mc::LockGuard lock{st.mutex};
-          if (!st.first_error) st.first_error = std::current_exception();
-        }
-        // Skip the remaining points; the batch still completes cleanly.
-        st.next_index.store(n, std::memory_order_relaxed);
-        return;
-      }
-    }
-  }
-}
-
-/// Helper thread body: spin-then-sleep on the batch generation, register,
-/// work, check out; return on shutdown. `spin_probes` is how many yielding
-/// generation probes precede the condition-variable fallback (production
-/// passes kSpinProbes; models pass 0-1 to keep the state space small).
-inline void dispatch_helper_loop(SweepBatchState& st, int worker,
-                                 int spin_probes, PaddedCounters* counters) {
-  std::uint64_t seen = 0;
-  for (;;) {
-    // Spin-then-sleep: probe the generation with plain yields first, so
-    // batches arriving close together never pay a futex round-trip.
-    int probes = 0;
-    while (st.batch_generation.load(std::memory_order_acquire) == seen &&
-           !st.shutting_down.load(std::memory_order_relaxed)) {
-      if (++probes < spin_probes) {
-        check::mc::yield_now();
-      } else {
-        check::mc::CvLock lock{st.mutex};
-        ++st.sleeping_helpers;
-        while (!st.shutting_down.load(std::memory_order_relaxed) &&
-               st.batch_generation.load(std::memory_order_acquire) == seen) {
-          check::mc::cv_wait(st.work_ready, lock);
-        }
-        --st.sleeping_helpers;
-        break;
-      }
-    }
-    if (st.shutting_down.load(std::memory_order_relaxed)) return;
-
-    // Register in the batch under the mutex: the batch parameters and the
-    // cursor are mutated only between batches, which the in_flight count
-    // makes mutually exclusive with any helper being in here.
-    const std::function<void(std::size_t, int)>* fn = nullptr;
-    std::size_t n = 0;
-    std::size_t width = 1;
+/// Takes the next unclaimed index, or returns n once the batch is exhausted.
+inline std::size_t claim(SweepClaims& claims, std::size_t n) {
+  if (protocol_mutation_is(ProtocolMutation::kTornClaim)) {
+    std::size_t i = 0;
     {
-      check::mc::LockGuard lock{st.mutex};
-      seen = st.batch_generation.load(std::memory_order_relaxed);
-      fn = st.point;
-      n = st.batch_size;
-      width = st.chunk;
-      if (fn == nullptr) continue;  // batch already fully drained and closed
-      ++st.in_flight;
+      check::mc::LockGuard lock{claims.mutex};
+      i = claims.next;
     }
-    dispatch_work(st, *fn, n, width, worker, counters);
-    {
-      check::mc::LockGuard lock{st.mutex};
-      if (--st.in_flight == 0) st.batch_done.notify_one();
+    check::mc::LockGuard lock{claims.mutex};
+    if (i >= n) return n;
+    claims.next = i + 1;
+    return i;
+  }
+  check::mc::LockGuard lock{claims.mutex};
+  return claims.next < n ? claims.next++ : n;
+}
+
+/// Runs fn(i, worker) for every index this worker claims until the batch is
+/// exhausted or a point throws. Shared by the caller (worker 0) and the
+/// helpers.
+template <typename Fn>
+void claim_loop(SweepClaims& claims, std::size_t n, int worker, Fn&& fn) {
+  for (std::size_t i = claim(claims, n); i < n; i = claim(claims, n)) {
+    try {
+      fn(i, worker);
+    }
+    RBS_MC_RETHROW_ABORT
+    catch (...) {
+      check::mc::LockGuard lock{claims.mutex};
+      if (!claims.first_error) claims.first_error = std::current_exception();
+      claims.next = n;  // skip the remaining points; the batch still drains
+      return;
     }
   }
 }
 
-/// Publishes a batch: parameters under the mutex, cursor reset, generation
-/// bump (release), wakeup for any helper asleep on the condition variable.
-inline void dispatch_publish(SweepBatchState& st,
-                             const std::function<void(std::size_t, int)>& fn,
-                             std::size_t n, std::size_t width) {
-  check::mc::LockGuard lock{st.mutex};
-  st.point = &fn;
-  st.batch_size = n;
-  st.chunk = width;
-  st.first_error = nullptr;
-  st.next_index.store(0, std::memory_order_relaxed);
-  st.batch_generation.fetch_add(1, std::memory_order_release);
-  if (st.sleeping_helpers > 0) st.work_ready.notify_all();
-}
-
-/// Waits until the batch is complete — cursor exhausted AND every
-/// registered helper checked out — then closes it and hands back the first
-/// captured point exception (null if none).
-inline std::exception_ptr dispatch_drain_and_close(SweepBatchState& st,
-                                                   std::size_t n) {
-  check::mc::CvLock lock{st.mutex};
-  while ((st.in_flight != 0 &&
-          !protocol_mutation_is(ProtocolMutation::kDrainIgnoresInFlight)) ||
-         st.next_index.load(std::memory_order_relaxed) < n) {
-    check::mc::cv_wait(st.batch_done, lock);
-  }
-  // Close the batch: helpers arriving from now on see a null point and
-  // skip registration, so the cursor/parameters can be safely reused.
-  st.point = nullptr;
-  return std::exchange(st.first_error, nullptr);
-}
-
-/// Raises the shutdown flag (under the mutex — see the file comment for
-/// why that placement is load-bearing) and wakes every sleeping helper.
-inline void dispatch_shutdown(SweepBatchState& st) {
-  if (protocol_mutation_is(ProtocolMutation::kShutdownOutsideLock)) {
-    st.shutting_down.store(true, std::memory_order_relaxed);
-  } else {
-    check::mc::LockGuard lock{st.mutex};
-    st.shutting_down.store(true, std::memory_order_relaxed);
-  }
-  if (!protocol_mutation_is(ProtocolMutation::kDropShutdownNotify)) {
-    st.work_ready.notify_all();
-  }
+/// Hands back the batch's first point exception (null if none). Called by
+/// the caller after joining every helper.
+inline std::exception_ptr take_error(SweepClaims& claims) {
+  check::mc::LockGuard lock{claims.mutex};
+  return std::exchange(claims.first_error, nullptr);
 }
 
 }  // namespace rbs::experiment::detail

@@ -1,5 +1,6 @@
 #include "experiment/mixed_flow_experiment.hpp"
 
+#include <cmath>
 #include <memory>
 
 #include "tcp/tcp_sink.hpp"
@@ -18,6 +19,8 @@ MixedFlowExperimentResult run_mixed_flow_experiment(const MixedFlowExperimentCon
   require(config.num_long_flows >= 0, "mixed experiment: num_long_flows must be >= 0");
   require(config.num_short_leaves >= 1, "mixed experiment: num_short_leaves must be >= 1");
   require(config.short_flow_load > 0, "mixed experiment: short_flow_load must be > 0");
+  require(std::isfinite(config.short_flow_load),
+          "mixed experiment: short_flow_load must be finite");
   // Long-flow throughput is normalized by the window length.
   require(config.measure > sim::SimTime::zero(), "mixed experiment: measure must be > 0");
   DumbbellRun run{config, dumbbell_for(config, config.num_long_flows + config.num_short_leaves),

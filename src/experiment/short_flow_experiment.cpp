@@ -1,6 +1,7 @@
 #include "experiment/short_flow_experiment.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "traffic/short_flow_workload.hpp"
 
@@ -8,6 +9,7 @@ namespace rbs::experiment {
 
 ShortFlowExperimentResult run_short_flow_experiment(const ShortFlowExperimentConfig& config) {
   require(config.load > 0, "short-flow experiment: load must be > 0");
+  require(std::isfinite(config.load), "short-flow experiment: load must be finite");
   DumbbellRun run{config, dumbbell_for(config, config.num_leaves), config.warmup,
                   config.measure};
 

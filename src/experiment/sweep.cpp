@@ -1,31 +1,19 @@
 #include "experiment/sweep.hpp"
 
 #include <algorithm>
-#include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <exception>
 #include <memory>
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <utility>
+#include <vector>
 
-#include "core/thread_annotations.hpp"
+#include "check/mc/types.hpp"
 #include "experiment/dispatch_protocol.hpp"
-#include "experiment/sweep_dispatch.hpp"
 
 namespace rbs::experiment {
-namespace {
-
-// How long a helper spins on the batch generation before falling back to a
-// condition-variable sleep. Each probe yields, so on an oversubscribed
-// machine the spin phase donates its timeslice instead of starving the
-// workers that hold actual work. The limit is generous enough that a stream
-// of back-to-back batches (the benchmark and sweep-of-sweeps pattern) keeps
-// every helper in the spin phase and out of the futex entirely.
-constexpr int kSpinProbes = 2048;
-
-}  // namespace
 
 int default_sweep_threads() {
   // Read-only environment probe, before any helper thread exists; no other
@@ -39,71 +27,10 @@ int default_sweep_threads() {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-// Dispatch protocol: run_indexed publishes a batch (point function, size,
-// chunk width) under the mutex, bumps the atomic batch generation, and then
-// works the batch itself as worker 0 — helpers joining is an optimization,
-// never a requirement for completion. Helpers notice the new generation
-// while spinning (or are woken if they reached the cv), register under the
-// mutex, and claim chunked index ranges off one shared cursor.
-//
-// The protocol itself lives in experiment/dispatch_protocol.hpp as free
-// functions over detail::SweepBatchState (sweep_dispatch.hpp) — the same
-// functions the model checker explores exhaustively in tests/mc/, and the
-// thread-safety analysis proves lock discipline for when this TU is
-// compiled with -Wthread-safety. This struct only owns the state, the
-// helper threads, and the per-worker counters.
-struct SweepRunner::Impl : detail::SweepBatchState {
-  std::vector<detail::PaddedCounters> counters;
-  std::vector<std::thread> helpers;
-};
-
 SweepRunner::SweepRunner(int threads, bool checked)
-    : impl_{new Impl},
-      num_threads_{threads > 0 ? threads : default_sweep_threads()},
-      checked_{checked} {
-  impl_->counters = std::vector<detail::PaddedCounters>(
-      static_cast<std::size_t>(num_threads_));
-  impl_->helpers.reserve(static_cast<std::size_t>(num_threads_ - 1));
-  for (int i = 1; i < num_threads_; ++i) {
-    impl_->helpers.emplace_back([impl = impl_, i] {
-      detail::dispatch_helper_loop(*impl, i, kSpinProbes,
-                                   impl->counters.data());
-    });
-  }
-}
-
-SweepRunner::~SweepRunner() {
-  detail::dispatch_shutdown(*impl_);
-  for (std::thread& helper : impl_->helpers) helper.join();
-  delete impl_;
-}
-
-std::vector<WorkerDispatchStats> SweepRunner::dispatch_stats() const {
-  std::vector<WorkerDispatchStats> out;
-  out.reserve(impl_->counters.size());
-  for (const auto& padded : impl_->counters) {
-    out.push_back(detail::sample_counters(padded));
-  }
-  // Acquire fence after the relaxed loads: pairs with the release stores in
-  // bump_counter, so everything a worker did before a counted increment
-  // happens-before anything the caller does with this snapshot. Makes a
-  // concurrent snapshot a safe (if instantaneously stale) read instead of
-  // an ordering hazard. Pinned by tests/mc/dispatch_stats_mc_test.cpp.
-  detail::counters_snapshot_fence();
-  return out;
-}
+    : num_threads_{threads > 0 ? threads : default_sweep_threads()}, checked_{checked} {}
 
 void SweepRunner::run_indexed(std::size_t n, const std::function<void(std::size_t)>& point) {
-  run_batch(n, [&point](std::size_t i, int) { point(i); });
-}
-
-void SweepRunner::run_indexed(std::size_t n,
-                              const std::function<void(std::size_t, int)>& point) {
-  run_batch(n, [&point](std::size_t i, int worker) { point(i, worker); });
-}
-
-template <typename PointFn>
-void SweepRunner::run_batch(std::size_t n, PointFn&& raw) {
   if (n == 0) return;
 
   // Checked mode: count executions per index. Each counter is touched by
@@ -114,38 +41,36 @@ void SweepRunner::run_batch(std::size_t n, PointFn&& raw) {
     for (std::size_t i = 0; i < n; ++i) executions[i].store(0, std::memory_order_relaxed);
   }
 
-  // One wrapper regardless of mode: checked counting, observer hooks, and
-  // the worker index all compose here, outside the work-distribution
-  // protocol.
+  // One wrapper regardless of mode: checked counting and observer hooks
+  // compose here, outside the work-distribution protocol.
   const auto instrumented = [&](std::size_t i, int worker) {
     if (checked_) executions[i].fetch_add(1, std::memory_order_relaxed);
     if (observer_.on_point_start) observer_.on_point_start(i, worker);
-    raw(i, worker);
+    point(i);
     if (observer_.on_point_done) observer_.on_point_done(i, worker);
   };
 
-  if (num_threads_ <= 1 || n == 1) {
-    // Degenerate case: an in-order serial loop on the calling thread,
-    // calling the point with no type-erasure hop at all.
-    detail::bump_counter(impl_->counters[0].chunks);
-    for (std::size_t i = 0; i < n; ++i) {
-      instrumented(i, 0);
-      detail::bump_counter(impl_->counters[0].points);
-    }
+  const std::size_t workers = std::min(static_cast<std::size_t>(num_threads_), n);
+  if (workers <= 1) {
+    // Degenerate case: an in-order serial loop on the calling thread.
+    for (std::size_t i = 0; i < n; ++i) instrumented(i, 0);
   } else {
-    const std::function<void(std::size_t, int)> dispatch = instrumented;
-    // Roughly 8 chunks per worker balances load (a straggling point only
-    // delays its own chunk) against handout cost (one shared atomic
-    // operation per chunk, not per point).
-    const std::size_t workers = static_cast<std::size_t>(num_threads_);
-    const std::size_t width = std::max<std::size_t>(1, n / (workers * 8));
-    detail::dispatch_publish(*impl_, dispatch, n, width);
-    // The caller is worker 0: the batch completes even if no helper wakes
-    // in time, and small batches finish at serial-loop speed.
-    detail::dispatch_work(*impl_, dispatch, n, width, 0,
-                          impl_->counters.data());
-    std::exception_ptr error = detail::dispatch_drain_and_close(*impl_, n);
-    if (error) std::rethrow_exception(error);
+    detail::SweepClaims claims;
+    std::vector<std::thread> helpers;
+    helpers.reserve(workers - 1);
+    try {
+      for (std::size_t w = 1; w < workers; ++w) {
+        helpers.emplace_back([&claims, &instrumented, n, w] {
+          detail::claim_loop(claims, n, static_cast<int>(w), instrumented);
+        });
+      }
+    } catch (const std::exception&) {
+      // Out of threads or memory: the caller is worker 0, so the helpers
+      // already running and the caller still finish the batch.
+    }
+    detail::claim_loop(claims, n, 0, instrumented);
+    for (std::thread& helper : helpers) helper.join();
+    if (std::exception_ptr error = detail::take_error(claims)) std::rethrow_exception(error);
   }
 
   if (checked_) {

@@ -1,28 +1,20 @@
-// Parallel sweep runner: executes independent experiment points on a small
-// thread pool with a deterministic result contract.
+// Parallel sweep runner: executes independent experiment points on worker
+// threads with a deterministic result contract.
 //
 // Every reproduction figure is a batch of independent simulations — one per
 // (scenario, seed, buffer-size) point. Each point builds its own
-// sim::Simulation (scheduler + root RNG forked from the point's seed), so
-// two Simulations share no mutable state and a point computes bitwise the
-// same result whether it runs serially, concurrently, or on a machine with
-// a different core count. The runner only changes *when* points execute,
-// never *what* they compute:
+// sim::Simulation (scheduler + root RNG forked from the point's seed), so a
+// point computes bitwise the same result whether it runs serially,
+// concurrently, or on a machine with a different core count. The runner only
+// changes *when* points execute, never *what* they compute: point i writes
+// only results[i], and nothing in src/ has mutable global state (asserted by
+// the parallel-vs-serial equivalence tests in tests/sweep_test.cpp).
 //
-//   1. point i writes only results[i] (index-addressed storage — map()
-//      collects into per-worker arenas and merges by index afterwards);
-//   2. points are handed out as chunked index ranges claimed off one atomic
-//      cursor, results returned in index order, so output ordering never
-//      depends on thread interleaving;
-//   3. nothing in src/ has mutable global state (asserted by the
-//      parallel-vs-serial equivalence test in tests/sweep_test.cpp).
-//
-// Dispatch is built not to serialize: the calling thread participates as
-// worker 0 (a batch needs no handoff to complete), helpers claim whole index
-// ranges instead of single points, the claim cursor and batch generation
-// live on their own cache lines, and between back-to-back batches helpers
-// spin briefly on the generation counter before touching a mutex, so a
-// steady stream of small batches never pays a futex round-trip per batch.
+// Each batch spawns its own helper threads, works as worker 0 on the calling
+// thread, and joins the helpers before returning; points are claimed one
+// index at a time off a mutex-guarded cursor (experiment/dispatch_protocol.hpp).
+// A point is a simulation of milliseconds to minutes, so the per-batch spawn
+// and the per-point lock are noise next to it.
 //
 // Thread count: explicit argument > RBS_THREADS env var > hardware
 // concurrency. A single-threaded runner degenerates to an in-order serial
@@ -30,8 +22,8 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -45,28 +37,18 @@ namespace rbs::experiment {
 /// Observation hooks around each sweep point, for progress display and
 /// profiling (see telemetry::SweepProfile). Hooks fire on worker threads —
 /// possibly several at once — so implementations must synchronize
-/// internally. `worker` is the executing worker's index in [0, threads());
-/// worker 0 is the calling thread, helpers are 1..threads()-1, and the
-/// serial fallback reports worker 0. on_point_done does not fire for a
+/// internally. `worker` is the executing worker's index in
+/// [0, min(threads(), n)); worker 0 is the calling thread, and the serial
+/// fallback reports worker 0. on_point_done does not fire for a
 /// point that threw (its exception aborts the batch and is rethrown).
 struct SweepObserver {
   std::function<void(std::size_t index, int worker)> on_point_start;
   std::function<void(std::size_t index, int worker)> on_point_done;
 };
 
-/// Cumulative dispatch counters for one worker: how many index ranges it
-/// claimed and how many points it ran. A healthy parallel batch shows every
-/// worker claiming a similar number of chunks; one worker owning nearly all
-/// points means the others never woke in time (or the batch was too small
-/// to share).
-struct WorkerDispatchStats {
-  std::uint64_t chunks{0};
-  std::uint64_t points{0};
-};
-
-/// A reusable pool of worker threads for running independent experiment
-/// points. Construction spawns threads()-1 helpers (the caller is worker 0);
-/// destruction joins them.
+/// Runs batches of independent experiment points on up to threads() worker
+/// threads: the caller is worker 0, and each batch spawns and joins its own
+/// helpers.
 class SweepRunner {
  public:
   /// threads <= 0 selects default_sweep_threads(). `checked` enables the
@@ -75,9 +57,6 @@ class SweepRunner {
   /// times (a broken work-distribution protocol would otherwise surface as
   /// silently wrong results). Costs one atomic increment per point.
   explicit SweepRunner(int threads = 0, bool checked = false);
-  ~SweepRunner();
-  SweepRunner(const SweepRunner&) = delete;
-  SweepRunner& operator=(const SweepRunner&) = delete;
 
   [[nodiscard]] int threads() const noexcept { return num_threads_; }
   [[nodiscard]] bool checked() const noexcept { return checked_; }
@@ -86,63 +65,24 @@ class SweepRunner {
   /// called while a batch is running.
   void set_observer(SweepObserver observer) { observer_ = std::move(observer); }
 
-  /// Runs point(i) for every i in [0, n), distributing chunked index ranges
-  /// across the pool (the calling thread works too), and blocks until all
-  /// complete. `point` must confine its writes to per-index storage. The
-  /// first exception thrown by a point is rethrown here after all workers
-  /// drain.
+  /// Runs point(i) for every i in [0, n) on min(threads(), n) workers (the
+  /// calling thread works too), and blocks until all complete. `point` must
+  /// confine its writes to per-index storage. The first exception thrown by
+  /// a point is rethrown here after all workers drain.
   void run_indexed(std::size_t n, const std::function<void(std::size_t)>& point);
 
-  /// Worker-aware variant: the executing worker's index in [0, threads())
-  /// is passed alongside the point index, so callers can keep per-worker
-  /// state (arenas, counters) without sharing. Same distribution and
-  /// exception contract as above.
-  void run_indexed(std::size_t n, const std::function<void(std::size_t, int)>& point);
-
   /// Maps i -> point(i) into a vector in index order. R must be default-
-  /// constructible and movable. Each worker collects its results in a
-  /// private arena (no shared output line is written from two threads) and
-  /// the arenas are merged by index after the batch — the output is
-  /// identical to a serial loop regardless of interleaving.
+  /// constructible and movable; the output is identical to a serial loop
+  /// regardless of interleaving.
   template <typename R, typename F>
   std::vector<R> map(std::size_t n, F&& point) {
+    static_assert(!std::is_same_v<R, bool>, "map<bool> would race on packed bits");
     std::vector<R> out(n);
-    if (num_threads_ <= 1 || n == 1) {
-      run_indexed(n, [&](std::size_t i) { out[i] = point(i); });
-      return out;
-    }
-    struct alignas(64) Arena {
-      std::vector<std::pair<std::size_t, R>> items;
-    };
-    std::vector<Arena> arenas(static_cast<std::size_t>(num_threads_));
-    run_indexed(n, std::function<void(std::size_t, int)>{[&](std::size_t i, int worker) {
-                  arenas[static_cast<std::size_t>(worker)].items.emplace_back(i, point(i));
-                }});
-    for (Arena& arena : arenas) {
-      for (auto& [index, result] : arena.items) out[index] = std::move(result);
-    }
+    run_indexed(n, [&](std::size_t i) { out[i] = point(i); });
     return out;
   }
 
-  /// Per-worker dispatch counters, cumulative since construction. Index 0
-  /// is the calling thread. Safe to call concurrently with a running batch:
-  /// counters are published with release stores and the snapshot closes
-  /// with an acquire fence, so each value is a consistent (if momentarily
-  /// stale) prefix of that worker's progress — everything a counted
-  /// increment summarizes happens-before the snapshot's return. Pinned by
-  /// the model in tests/mc/dispatch_stats_mc_test.cpp.
-  [[nodiscard]] std::vector<WorkerDispatchStats> dispatch_stats() const;
-
  private:
-  /// Shared batch engine behind both run_indexed overloads: `raw(i, worker)`
-  /// is the caller's point with no std::function wrapper of its own, so the
-  /// serial path invokes it directly and the parallel path pays exactly one
-  /// type-erasure hop. Defined in sweep.cpp; instantiated only there.
-  template <typename PointFn>
-  void run_batch(std::size_t n, PointFn&& raw);
-
-  struct Impl;
-  Impl* impl_;
   int num_threads_;
   bool checked_;
   SweepObserver observer_;

@@ -3,15 +3,16 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 
 namespace rbs::traffic {
 
 FixedFlowSize::FixedFlowSize(std::int64_t packets) : packets_{packets} {
-  assert(packets >= 1);
+  if (packets < 1) throw std::invalid_argument("FixedFlowSize: packets must be >= 1");
 }
 
 UniformFlowSize::UniformFlowSize(std::int64_t lo, std::int64_t hi) : lo_{lo}, hi_{hi} {
-  assert(lo >= 1 && hi >= lo);
+  if (lo < 1 || hi < lo) throw std::invalid_argument("UniformFlowSize: need 1 <= lo <= hi");
 }
 
 std::int64_t UniformFlowSize::sample(sim::Rng& rng) { return rng.uniform_int(lo_, hi_); }
@@ -19,7 +20,9 @@ std::int64_t UniformFlowSize::sample(sim::Rng& rng) { return rng.uniform_int(lo_
 ParetoFlowSize::ParetoFlowSize(double alpha, std::int64_t min_packets,
                                std::int64_t max_packets)
     : alpha_{alpha}, min_{min_packets}, max_{max_packets} {
-  assert(alpha > 0 && min_packets >= 1 && max_packets >= min_packets);
+  if (!(alpha > 0) || min_packets < 1 || max_packets < min_packets) {
+    throw std::invalid_argument("ParetoFlowSize: need alpha > 0 and 1 <= min <= max");
+  }
 }
 
 std::int64_t ParetoFlowSize::sample(sim::Rng& rng) {

@@ -2,7 +2,7 @@
 // The same class, MC-wrappable: every field is spelled via the check::mc
 // wrapper types (which ARE the std types when RBS_MODEL_CHECK is off), so
 // the whole class can be driven by the interleaving explorer — this is the
-// shape src/experiment/sweep_dispatch.hpp has.
+// shape src/experiment/dispatch_protocol.hpp has.
 #pragma once
 
 #define RBS_GUARDED_BY(m)

@@ -1,9 +1,9 @@
 // rbs-analyze-fixture-expect:
 // The sanctioned parallel-write patterns, none of which may trip R6:
 // index-addressed disjoint slots, atomics, RBS_GUARDED_BY fields under a
-// lock, per-worker PaddedCounters, and lambda-local state. Spelled with the
-// wrapper types (check::mc::Atomic, core::AnnotatedMutex) so R10/R12 stay
-// quiet too — this is what sanctioned cross-thread state looks like.
+// lock, and lambda-local state. Spelled with the wrapper types
+// (check::mc::Atomic, core::AnnotatedMutex) so R10/R12 stay quiet too —
+// this is what sanctioned cross-thread state looks like.
 #include <cstddef>
 #include <vector>
 
@@ -29,15 +29,10 @@ struct SweepRunner {
   void run_indexed(std::size_t n, F point);
 };
 
-struct PaddedCounters {
-  long points = 0;
-};
-
 struct Tally {
   core::AnnotatedMutex m;
   rbs::check::mc::Atomic<long> hits{};
   long total RBS_GUARDED_BY(m) = 0;
-  std::vector<PaddedCounters> per_worker;
   const int workers = 4;
 };
 

@@ -1,9 +1,8 @@
 // rbs-analyze-fixture-expect: R6 R6
 // A class that owns a mutex (or worker threads) is cross-thread by
 // construction, so every mutable member needs a concurrency classification
-// the analyses can check: an Atomic wrapper, RBS_GUARDED_BY, a per-worker
-// PaddedCounters slot, or const. Unclassified members are exactly the
-// state -Wthread-safety cannot see. (Wrapper spellings throughout, so the
+// the analyses can check: an Atomic wrapper, RBS_GUARDED_BY, or const.
+// Unclassified members are exactly the state -Wthread-safety cannot see. (Wrapper spellings throughout, so the
 // two findings here are R6's alone — not R10/R12 noise.)
 #pragma once
 

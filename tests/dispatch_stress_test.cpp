@@ -12,13 +12,12 @@
 
 #include <atomic>
 #include <cstddef>
-#include <thread>
+#include <cstdint>
 #include <vector>
 
 namespace {
 
 using rbs::experiment::SweepRunner;
-using rbs::experiment::WorkerDispatchStats;
 
 constexpr int kThreads = 4;
 constexpr int kIterations = 100;
@@ -43,75 +42,24 @@ TEST(DispatchStress, ClaimExactlyOnceAcrossIterations) {
           << iter;
     }
   }
-
-  const auto stats = runner.dispatch_stats();
-  std::uint64_t points = 0;
-  for (const WorkerDispatchStats& s : stats) points += s.points;
-  EXPECT_EQ(points, static_cast<std::uint64_t>(kIterations) * kBatch);
 }
 
-// Shutdown monotonicity: once the destructor begins, no new claim is ever
-// made — every point observed in flight completed before the destructor
-// returned, across 100 construct/run/destroy cycles (each one exercising
-// helpers in whatever state the OS scheduler left them: spinning, sleeping
-// on the condition variable, or mid-chunk).
+// Join before return: no point ever runs after run_indexed returns — every
+// helper is joined inside the batch — across 100 construct/run/destroy
+// cycles.
 TEST(DispatchStress, NoClaimAfterShutdown) {
   for (int iter = 0; iter < kIterations; ++iter) {
-    std::atomic<bool> destroyed{false};
+    std::atomic<bool> returned{false};
     std::atomic<std::uint32_t> claims{0};
-    {
-      SweepRunner runner{kThreads, /*checked=*/true};
-      runner.run_indexed(kBatch, [&](std::size_t) {
-        EXPECT_FALSE(destroyed.load(std::memory_order_relaxed))
-            << "point executed after the runner's destructor returned";
-        claims.fetch_add(1, std::memory_order_relaxed);
-      });
-    }  // ~SweepRunner: shutdown flag under the mutex, notify, join helpers
-    destroyed.store(true, std::memory_order_relaxed);
+    SweepRunner runner{kThreads, /*checked=*/true};
+    runner.run_indexed(kBatch, [&](std::size_t) {
+      EXPECT_FALSE(returned.load(std::memory_order_relaxed))
+          << "point executed after run_indexed returned";
+      claims.fetch_add(1, std::memory_order_relaxed);
+    });
+    returned.store(true, std::memory_order_relaxed);
     ASSERT_EQ(claims.load(std::memory_order_relaxed), kBatch);
   }
-}
-
-// Concurrent stats snapshots: dispatch_stats() may race running batches by
-// contract (release publish + acquire-fenced snapshot — the ordering the
-// model in tests/mc/dispatch_stats_mc_test.cpp pins). Each per-worker
-// counter is cumulative, so successive snapshots must be monotonic, and
-// the final snapshot must account for every point of every batch.
-TEST(DispatchStress, ConcurrentStatsSnapshotsAreMonotonic) {
-  SweepRunner runner{kThreads, /*checked=*/true};
-  std::atomic<bool> done{false};
-
-  std::thread sampler{[&] {
-    std::vector<WorkerDispatchStats> prev;
-    while (!done.load(std::memory_order_acquire)) {
-      const auto snap = runner.dispatch_stats();
-      if (!prev.empty()) {
-        ASSERT_EQ(snap.size(), prev.size());
-        for (std::size_t w = 0; w < snap.size(); ++w) {
-          EXPECT_GE(snap[w].chunks, prev[w].chunks) << "worker " << w;
-          EXPECT_GE(snap[w].points, prev[w].points) << "worker " << w;
-        }
-      }
-      prev = snap;
-      std::this_thread::yield();
-    }
-  }};
-
-  std::atomic<std::uint64_t> total{0};
-  for (int iter = 0; iter < kIterations; ++iter) {
-    runner.run_indexed(kBatch, [&](std::size_t) {
-      total.fetch_add(1, std::memory_order_relaxed);
-    });
-  }
-  done.store(true, std::memory_order_release);
-  sampler.join();
-
-  EXPECT_EQ(total.load(std::memory_order_relaxed),
-            static_cast<std::uint64_t>(kIterations) * kBatch);
-  const auto stats = runner.dispatch_stats();
-  std::uint64_t points = 0;
-  for (const WorkerDispatchStats& s : stats) points += s.points;
-  EXPECT_EQ(points, static_cast<std::uint64_t>(kIterations) * kBatch);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // the buffer-search helpers. Scaled-down links keep each run fast.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 
 #include "experiment/dumbbell_run.hpp"
@@ -259,6 +260,26 @@ TEST(HostileInputs, ShortFlowNeedsPositiveLoad) {
   auto cfg = fast_short();
   cfg.load = 0.0;
   EXPECT_THROW((void)run_short_flow_experiment(cfg), std::invalid_argument);
+}
+
+// An infinite load or a flow shorter than one packet would generate
+// arrivals forever; each is rejected before the run starts.
+TEST(HostileInputs, ShortFlowNeedsFiniteLoadAndAPacketPerFlow) {
+  auto infinite_load = fast_short();
+  infinite_load.load = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)run_short_flow_experiment(infinite_load), std::invalid_argument);
+  auto empty_flows = fast_short();
+  empty_flows.flow_packets = 0;
+  EXPECT_THROW((void)run_short_flow_experiment(empty_flows), std::invalid_argument);
+}
+
+TEST(HostileInputs, MixedFlowNeedsFiniteLoadAndAPacketPerFlow) {
+  auto infinite_load = fast_mixed();
+  infinite_load.short_flow_load = std::numeric_limits<double>::infinity();
+  EXPECT_THROW((void)run_mixed_flow_experiment(infinite_load), std::invalid_argument);
+  auto empty_flows = fast_mixed();
+  empty_flows.short_flow_packets = 0;
+  EXPECT_THROW((void)run_mixed_flow_experiment(empty_flows), std::invalid_argument);
 }
 
 TEST(HostileInputs, MixedFlowConditionsThrow) {

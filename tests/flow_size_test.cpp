@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <map>
+#include <stdexcept>
 
 #include "sim/random.hpp"
 
@@ -15,6 +17,25 @@ TEST(FixedFlowSize, AlwaysReturnsConfiguredLength) {
   FixedFlowSize d{62};
   for (int i = 0; i < 100; ++i) EXPECT_EQ(d.sample(rng), 62);
   EXPECT_DOUBLE_EQ(d.mean(), 62.0);
+}
+
+// A length below one packet (or a NaN shape) would never finish a flow, so
+// the constructors reject it in every build type.
+TEST(FixedFlowSize, RejectsLengthBelowOnePacket) {
+  EXPECT_THROW(FixedFlowSize{0}, std::invalid_argument);
+  EXPECT_THROW(FixedFlowSize{-5}, std::invalid_argument);
+}
+
+TEST(UniformFlowSize, RejectsEmptyOrSubPacketRange) {
+  EXPECT_THROW((UniformFlowSize{0, 10}), std::invalid_argument);
+  EXPECT_THROW((UniformFlowSize{10, 9}), std::invalid_argument);
+}
+
+TEST(ParetoFlowSize, RejectsBadShapeOrBounds) {
+  EXPECT_THROW((ParetoFlowSize{0.0, 2, 500}), std::invalid_argument);
+  EXPECT_THROW((ParetoFlowSize{std::nan(""), 2, 500}), std::invalid_argument);
+  EXPECT_THROW((ParetoFlowSize{1.2, 0, 500}), std::invalid_argument);
+  EXPECT_THROW((ParetoFlowSize{1.2, 10, 9}), std::invalid_argument);
 }
 
 TEST(UniformFlowSize, SamplesWithinBoundsWithCorrectMean) {

@@ -1,31 +1,25 @@
-// Mutation-kill tests: prove the dispatch protocol models have teeth.
+// Mutation-kill tests: prove the claim protocol models have teeth.
 //
-// Each test flips ONE seeded, realistically-wrong variant of a protocol
-// step (ProtocolMutation in dispatch_protocol.hpp — a torn claim, a
-// shutdown flag raised outside the mutex, a dropped wakeup, a drain that
-// ignores in-flight helpers, a relaxed counter publish) and re-runs the
-// same model that passes on the unmutated protocol. The explorer must
-// report a violation with a non-empty, replayable schedule trace — if a
-// mutation survives, the models are too weak and this file fails the
-// build's model-check leg.
-#include "experiment/dispatch_protocol.hpp"
+// kTornClaim (ProtocolMutation in dispatch_protocol.hpp) splits the claim's
+// read and write of the cursor into two critical sections, and the
+// exactly-once model that passes on the unmutated protocol must report a
+// violation with a non-empty, replayable schedule trace. A model variant
+// that reads the results before joining the helper shows the same for the
+// join-happens-before model. If either survives, the models are too weak
+// and this file fails the build's model-check leg.
+#include "batch_model.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <functional>
 #include <string>
 
 namespace mc = rbs::check::mc;
-using rbs::experiment::detail::dispatch_drain_and_close;
-using rbs::experiment::detail::dispatch_helper_loop;
-using rbs::experiment::detail::dispatch_publish;
-using rbs::experiment::detail::dispatch_shutdown;
-using rbs::experiment::detail::dispatch_work;
+using rbs::experiment::detail::claim_loop;
 using rbs::experiment::detail::g_protocol_mutation;
-using rbs::experiment::detail::PaddedCounters;
 using rbs::experiment::detail::ProtocolMutation;
-using rbs::experiment::detail::SweepBatchState;
+using rbs::experiment::detail::SweepClaims;
+using sweep_models::exactly_once_model;
 
 namespace {
 
@@ -37,129 +31,69 @@ class ScopedMutation {
   ~ScopedMutation() { g_protocol_mutation = ProtocolMutation::kNone; }
 };
 
-/// The exactly-once model from dispatch_protocol_mc_test.cpp: one helper,
-/// two indices, width 1.
-void exactly_once_model() {
-  SweepBatchState st;
-  PaddedCounters counters[2];
-  int runs[2] = {0, 0};
-  const std::function<void(std::size_t, int)> fn = [&](std::size_t i, int) {
-    ++runs[i];
-  };
-  auto helper = mc::spawn(
-      [&] { dispatch_helper_loop(st, 1, /*spin_probes=*/1, counters); });
-
-  dispatch_publish(st, fn, /*n=*/2, /*width=*/1);
-  dispatch_work(st, fn, 2, 1, /*worker=*/0, counters);
-  const std::exception_ptr error = dispatch_drain_and_close(st, 2);
-  mc::require(error == nullptr, "unexpected captured error");
-  mc::require(runs[0] == 1, "index 0 not executed exactly once");
-  mc::require(runs[1] == 1, "index 1 not executed exactly once");
-
-  dispatch_shutdown(st);
-  mc::join(helper);
-}
-
-/// The shutdown-termination model: helper spawned, shut down, joined.
-void shutdown_model() {
-  SweepBatchState st;
-  PaddedCounters counters[2];
-  auto helper = mc::spawn(
-      [&] { dispatch_helper_loop(st, 1, /*spin_probes=*/1, counters); });
-  dispatch_shutdown(st);
-  mc::join(helper);
-}
-
-/// The result-publication model: per-index race-checked result cells read
-/// by the publisher after the drain.
-void result_reads_model() {
-  SweepBatchState st;
-  PaddedCounters counters[2];
-  mc::NonAtomic<int> results[2];
-  const std::function<void(std::size_t, int)> fn = [&](std::size_t i, int) {
-    results[i].store(static_cast<int>(i) + 10);
-  };
-  auto helper = mc::spawn(
-      [&] { dispatch_helper_loop(st, 1, /*spin_probes=*/1, counters); });
-
-  dispatch_publish(st, fn, /*n=*/2, /*width=*/1);
-  dispatch_work(st, fn, 2, 1, /*worker=*/0, counters);
-  const std::exception_ptr error = dispatch_drain_and_close(st, 2);
-  mc::require(error == nullptr, "unexpected captured error");
-  mc::require(results[0].load() == 10, "result 0 lost");
-  mc::require(results[1].load() == 11, "result 1 lost");
-
-  dispatch_shutdown(st);
-  mc::join(helper);
-}
-
-mc::Result explore_model(void (*model)(), int preemption_bound = 3) {
+mc::Result explore_model(void (*model)()) {
   mc::Options opts;
-  opts.preemption_bound = preemption_bound;
+  opts.preemption_bound = 3;
   return mc::explore(opts, model);
 }
 
 void expect_killed(const mc::Result& r, const char* mutation) {
-  ASSERT_TRUE(r.violation) << "mutation " << mutation
-                           << " survived the model:\n"
+  ASSERT_TRUE(r.violation) << "mutation " << mutation << " survived the model:\n"
                            << r.summary();
   EXPECT_FALSE(r.trace.empty()) << "violation carries no schedule trace";
   EXPECT_FALSE(r.message.empty());
 }
 
+/// The result-reads model with the join moved after the reads: the caller
+/// reads a cell the helper may still be writing.
+void reads_before_join_model() {
+  SweepClaims claims;
+  mc::NonAtomic<int> results[2];
+  mc::set_name(&results[0], "results[0]");
+  mc::set_name(&results[1], "results[1]");
+  const auto fn = [&](std::size_t i, int) { results[i].store(static_cast<int>(i) + 10); };
+  const mc::ThreadHandle helper = mc::spawn([&] { claim_loop(claims, 2, 1, fn); });
+  claim_loop(claims, 2, 0, fn);
+  (void)results[0].load();
+  (void)results[1].load();
+  mc::join(helper);
+}
+
 TEST(DispatchMutation, TornClaimRunsAnIndexTwice) {
   ScopedMutation arm{ProtocolMutation::kTornClaim};
-  const mc::Result r = explore_model(&exactly_once_model);
-  expect_killed(r, "kTornClaim");
+  expect_killed(explore_model(&exactly_once_model<2, 2>), "kTornClaim");
 }
 
-TEST(DispatchMutation, ShutdownOutsideLockLosesTheWakeup) {
-  ScopedMutation arm{ProtocolMutation::kShutdownOutsideLock};
-  const mc::Result r = explore_model(&shutdown_model);
-  expect_killed(r, "kShutdownOutsideLock");
-  EXPECT_NE(r.message.find("deadlock"), std::string::npos) << r.message;
-}
-
-TEST(DispatchMutation, DroppedShutdownNotifyStrandsASleepingHelper) {
-  ScopedMutation arm{ProtocolMutation::kDropShutdownNotify};
-  const mc::Result r = explore_model(&shutdown_model);
-  expect_killed(r, "kDropShutdownNotify");
-  EXPECT_NE(r.message.find("deadlock"), std::string::npos) << r.message;
-}
-
-TEST(DispatchMutation, DrainIgnoringInFlightRacesResultReads) {
-  ScopedMutation arm{ProtocolMutation::kDrainIgnoresInFlight};
-  const mc::Result r = explore_model(&result_reads_model);
-  expect_killed(r, "kDrainIgnoresInFlight");
+TEST(DispatchMutation, ReadingResultsBeforeTheJoinIsARace) {
+  const mc::Result r = explore_model(&reads_before_join_model);
+  expect_killed(r, "reads before join");
+  EXPECT_NE(r.message.find("data race"), std::string::npos) << r.message;
 }
 
 // The killed mutation's trace must replay: feeding the reported schedule
 // back reproduces the same violation in exactly one execution, which is
 // what makes a model-checker report debuggable rather than anecdotal.
 TEST(DispatchMutation, KilledMutationTraceReplaysDeterministically) {
-  ScopedMutation arm{ProtocolMutation::kShutdownOutsideLock};
-  const mc::Result found = explore_model(&shutdown_model);
+  ScopedMutation arm{ProtocolMutation::kTornClaim};
+  const mc::Result found = explore_model(&exactly_once_model<2, 2>);
   ASSERT_TRUE(found.violation) << found.summary();
 
   mc::Options replay;
   for (const mc::Step& s : found.trace) {
-    if (s.label.find("[effect]") == std::string::npos) {
-      replay.replay.push_back(s.thread);
-    }
+    if (s.label.find("[effect]") == std::string::npos) replay.replay.push_back(s.thread);
   }
-  const mc::Result again = mc::explore(replay, &shutdown_model);
+  const mc::Result again = mc::explore(replay, &exactly_once_model<2, 2>);
   ASSERT_TRUE(again.violation) << again.summary();
   EXPECT_EQ(again.executions, 1u);
   EXPECT_EQ(again.message, found.message);
 }
 
-// Sanity leg: with no mutation armed, every model above passes — the kills
-// come from the mutations, not from over-strict models.
+// Sanity leg: with no mutation armed, the models pass — the kill comes from
+// the mutation, not from an over-strict model.
 TEST(DispatchMutation, UnmutatedModelsAllPass) {
   ASSERT_EQ(g_protocol_mutation, ProtocolMutation::kNone);
-  EXPECT_FALSE(explore_model(&exactly_once_model).violation);
-  EXPECT_FALSE(explore_model(&shutdown_model).violation);
-  EXPECT_FALSE(explore_model(&result_reads_model).violation);
+  EXPECT_FALSE(explore_model(&exactly_once_model<2, 2>).violation);
+  EXPECT_FALSE(explore_model(&exactly_once_model<3, 3>).violation);
 }
 
 }  // namespace

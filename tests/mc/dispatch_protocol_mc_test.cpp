@@ -1,250 +1,80 @@
-// Model-checked correctness of the sweep dispatch protocol.
+// Model-checked correctness of the sweep claim protocol.
 //
-// These models run the REAL protocol — the same dispatch_* functions
-// sweep.cpp calls, compiled here with RBS_MODEL_CHECK so every
-// SweepBatchState operation is a schedule point — on small configurations
-// (1-2 helper threads, 2-3 indices, spin probes 0-1) and let the explorer
-// enumerate every interleaving up to the preemption bound. Asserted
-// invariants, per the protocol's contract (dispatch_protocol.hpp):
+// These models run the REAL protocol — the claim_loop and take_error that
+// sweep.cpp calls, compiled here with RBS_MODEL_CHECK so every SweepClaims
+// mutex operation is a schedule point — in the shape run_indexed gives it:
+// spawn helpers, work as worker 0, join, then read the results. The
+// explorer enumerates every interleaving of small configurations (2-3
+// workers, 2-3 indices) up to the preemption bound. Asserted invariants, per
+// the protocol's contract (dispatch_protocol.hpp):
 //
-//   * every index claimed exactly once per batch;
-//   * no claim observed after shutdown, and shutdown always terminates the
-//     helpers (no lost wakeup anywhere in the spin-then-sleep path);
-//   * generation publication happens-before batch-result reads (the
-//     NonAtomic results array makes any missing edge a detected race);
-//   * a point exception is captured once and the batch still drains.
+//   * every index claimed exactly once per batch, with 2 and 3 workers;
+//   * the join happens-before the result reads (the NonAtomic results make
+//     any missing edge a detected race);
+//   * a point exception is captured and the batch still drains.
 //
 // The mutation tests (dispatch_mutation_test.cpp) prove these models would
 // actually fail if the protocol were wrong.
-#include "experiment/dispatch_protocol.hpp"
+#include "batch_model.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <functional>
+#include <exception>
 #include <stdexcept>
 
 namespace mc = rbs::check::mc;
-using rbs::experiment::detail::dispatch_drain_and_close;
-using rbs::experiment::detail::dispatch_helper_loop;
-using rbs::experiment::detail::dispatch_publish;
-using rbs::experiment::detail::dispatch_shutdown;
-using rbs::experiment::detail::dispatch_work;
-using rbs::experiment::detail::PaddedCounters;
-using rbs::experiment::detail::SweepBatchState;
+using sweep_models::exactly_once_model;
+using sweep_models::run_batch_model;
 
 namespace {
 
-// Every index of one batch runs exactly once, with one helper racing the
-// publisher for chunks, across all interleavings. The per-index counters
-// are plain ints: only one virtual thread runs between schedule points, so
-// they need no synchronization *inside the model* — the invariant they
-// count is the protocol's, not theirs.
-TEST(DispatchProtocolMc, EveryIndexClaimedExactlyOnce) {
+mc::Result explore_model(int preemption_bound, void (*model)()) {
   mc::Options opts;
-  opts.preemption_bound = 2;
-  const mc::Result r = mc::explore(opts, [] {
-    SweepBatchState st;
-    PaddedCounters counters[2];
-    int runs[2] = {0, 0};
-    const std::function<void(std::size_t, int)> fn = [&](std::size_t i, int) {
-      ++runs[i];
-    };
-    auto helper = mc::spawn(
-        [&] { dispatch_helper_loop(st, 1, /*spin_probes=*/1, counters); });
+  opts.preemption_bound = preemption_bound;
+  return mc::explore(opts, model);
+}
 
-    dispatch_publish(st, fn, /*n=*/2, /*width=*/1);
-    dispatch_work(st, fn, 2, 1, /*worker=*/0, counters);
-    const std::exception_ptr error = dispatch_drain_and_close(st, 2);
-    mc::require(error == nullptr, "unexpected captured error");
-    mc::require(runs[0] == 1, "index 0 not executed exactly once");
-    mc::require(runs[1] == 1, "index 1 not executed exactly once");
-
-    dispatch_shutdown(st);
-    mc::join(helper);
-  });
+TEST(DispatchProtocolMc, TwoWorkersClaimEveryIndexExactlyOnce) {
+  const mc::Result r = explore_model(3, &exactly_once_model<2, 2>);
   EXPECT_FALSE(r.violation) << r.summary();
   EXPECT_TRUE(r.exhausted) << r.summary();
 }
 
-// Shutdown from every reachable helper state — mid-spin, deciding to
-// sleep, asleep on the condition variable — terminates the helper without
-// a lost wakeup and without any claim being made. Exhausting this model is
-// the "no lost wakeup in the sleep path" acceptance item.
-TEST(DispatchProtocolMc, ShutdownTerminatesHelpersFromEveryState) {
-  mc::Options opts;
-  opts.preemption_bound = 3;
-  const mc::Result r = mc::explore(opts, [] {
-    SweepBatchState st;
-    PaddedCounters counters[2];
-    int claims = 0;
-    const std::function<void(std::size_t, int)> fn = [&](std::size_t, int) {
-      ++claims;
-    };
-    (void)fn;
-    auto helper = mc::spawn(
-        [&] { dispatch_helper_loop(st, 1, /*spin_probes=*/1, counters); });
-
-    dispatch_shutdown(st);
-    mc::join(helper);
-    mc::require(claims == 0, "claim observed after shutdown");
-    mc::require(
-        counters[1].chunks.load(std::memory_order_relaxed) == 0,
-        "helper claimed a chunk with no batch published");
-  });
+TEST(DispatchProtocolMc, ThreeWorkersClaimEveryIndexExactlyOnce) {
+  const mc::Result r = explore_model(2, &exactly_once_model<3, 3>);
   EXPECT_FALSE(r.violation) << r.summary();
   EXPECT_TRUE(r.exhausted) << r.summary();
 }
 
-// Same, with a yielding spin probe before the sleep decision so both the
-// spin path and the cv path race the shutdown.
-TEST(DispatchProtocolMc, ShutdownBeatsTheSpinPhaseToo) {
-  mc::Options opts;
-  opts.preemption_bound = 2;
-  const mc::Result r = mc::explore(opts, [] {
-    SweepBatchState st;
-    PaddedCounters counters[2];
-    auto helper = mc::spawn(
-        [&] { dispatch_helper_loop(st, 1, /*spin_probes=*/2, counters); });
-    dispatch_shutdown(st);
-    mc::join(helper);
-  });
-  EXPECT_FALSE(r.violation) << r.summary();
-  EXPECT_TRUE(r.exhausted) << r.summary();
-}
-
-// Generation publication happens-before result reads: the point function
-// writes per-index results into race-checked cells; the publisher reads
-// them after the drain. Any interleaving in which the drain returns while
-// a helper is still writing — or in which the helper runs the point
-// without the publication edge — is a detected data race.
-TEST(DispatchProtocolMc, GenerationPublicationHappensBeforeResultReads) {
-  mc::Options opts;
-  opts.preemption_bound = 2;
-  const mc::Result r = mc::explore(opts, [] {
-    SweepBatchState st;
-    PaddedCounters counters[2];
+// The join happens-before the result reads: points write per-index results
+// into race-checked cells and the caller reads them after joining. Any
+// interleaving in which a read is not ordered after the write that produced
+// it is a detected data race.
+TEST(DispatchProtocolMc, JoinHappensBeforeResultReads) {
+  const mc::Result r = explore_model(3, [] {
     mc::NonAtomic<int> results[2];
     mc::set_name(&results[0], "results[0]");
     mc::set_name(&results[1], "results[1]");
-    const std::function<void(std::size_t, int)> fn = [&](std::size_t i, int) {
-      results[i].store(static_cast<int>(i) + 10);
-    };
-    auto helper = mc::spawn(
-        [&] { dispatch_helper_loop(st, 1, /*spin_probes=*/1, counters); });
-
-    dispatch_publish(st, fn, /*n=*/2, /*width=*/1);
-    dispatch_work(st, fn, 2, 1, /*worker=*/0, counters);
-    const std::exception_ptr error = dispatch_drain_and_close(st, 2);
+    const std::exception_ptr error = run_batch_model(
+        2, 2, [&](std::size_t i, int) { results[i].store(static_cast<int>(i) + 10); });
     mc::require(error == nullptr, "unexpected captured error");
-    // The drain's mutex handoff is the happens-before edge under test: if
-    // it were missing, these reads would race with the helper's writes.
     mc::require(results[0].load() == 10, "result 0 lost");
     mc::require(results[1].load() == 11, "result 1 lost");
-
-    dispatch_shutdown(st);
-    mc::join(helper);
   });
   EXPECT_FALSE(r.violation) << r.summary();
   EXPECT_TRUE(r.exhausted) << r.summary();
 }
 
-// Two helpers and three indices: the widest configuration the acceptance
-// criteria name (3 virtual threads). Claim-exactly-once must survive the
-// three-way cursor race.
-TEST(DispatchProtocolMc, ThreeWorkersThreeIndicesExactlyOnce) {
-  mc::Options opts;
-  opts.preemption_bound = 1;
-  const mc::Result r = mc::explore(opts, [] {
-    SweepBatchState st;
-    PaddedCounters counters[3];
-    int runs[3] = {0, 0, 0};
-    const std::function<void(std::size_t, int)> fn = [&](std::size_t i, int) {
-      ++runs[i];
-    };
-    auto h1 = mc::spawn(
-        [&] { dispatch_helper_loop(st, 1, /*spin_probes=*/0, counters); });
-    auto h2 = mc::spawn(
-        [&] { dispatch_helper_loop(st, 2, /*spin_probes=*/0, counters); });
-
-    dispatch_publish(st, fn, /*n=*/3, /*width=*/1);
-    dispatch_work(st, fn, 3, 1, /*worker=*/0, counters);
-    const std::exception_ptr error = dispatch_drain_and_close(st, 3);
-    mc::require(error == nullptr, "unexpected captured error");
-    for (int i = 0; i < 3; ++i) {
-      mc::require(runs[i] == 1, "index not executed exactly once");
-    }
-    dispatch_shutdown(st);
-    mc::join(h1);
-    mc::join(h2);
-  });
-  EXPECT_FALSE(r.violation) << r.summary();
-  EXPECT_TRUE(r.exhausted) << r.summary();
-}
-
-// A throwing point: the first exception is captured, later indices are
-// skipped via the cursor fast-forward, and the batch still drains cleanly
-// under every interleaving.
-TEST(DispatchProtocolMc, PointExceptionIsCapturedOnceAndBatchDrains) {
-  mc::Options opts;
-  opts.preemption_bound = 2;
-  const mc::Result r = mc::explore(opts, [] {
-    SweepBatchState st;
-    PaddedCounters counters[2];
-    const std::function<void(std::size_t, int)> fn = [](std::size_t i, int) {
+// A throwing point: the exception is captured, later indices are skipped via
+// the cursor fast-forward, and the batch still drains cleanly under every
+// interleaving.
+TEST(DispatchProtocolMc, PointExceptionIsCapturedAndBatchDrains) {
+  const mc::Result r = explore_model(3, [] {
+    const std::exception_ptr error = run_batch_model(2, 3, [](std::size_t i, int) {
       if (i == 0) throw std::runtime_error("point failed");
-    };
-    auto helper = mc::spawn(
-        [&] { dispatch_helper_loop(st, 1, /*spin_probes=*/1, counters); });
-
-    dispatch_publish(st, fn, /*n=*/2, /*width=*/1);
-    dispatch_work(st, fn, 2, 1, /*worker=*/0, counters);
-    const std::exception_ptr error = dispatch_drain_and_close(st, 2);
+    });
     mc::require(error != nullptr, "point exception was dropped");
-
-    dispatch_shutdown(st);
-    mc::join(helper);
-  });
-  EXPECT_FALSE(r.violation) << r.summary();
-  EXPECT_TRUE(r.exhausted) << r.summary();
-}
-
-// Two consecutive batches through the same state: the close/reuse path
-// (cursor reset, generation bump, stale-helper registration guard) holds
-// under every interleaving of the second publish with a helper still
-// finishing the first.
-TEST(DispatchProtocolMc, BackToBackBatchesReuseStateSafely) {
-  mc::Options opts;
-  opts.preemption_bound = 1;
-  const mc::Result r = mc::explore(opts, [] {
-    SweepBatchState st;
-    PaddedCounters counters[2];
-    int runs_a[2] = {0, 0};
-    int runs_b[2] = {0, 0};
-    const std::function<void(std::size_t, int)> fa = [&](std::size_t i, int) {
-      ++runs_a[i];
-    };
-    const std::function<void(std::size_t, int)> fb = [&](std::size_t i, int) {
-      ++runs_b[i];
-    };
-    auto helper = mc::spawn(
-        [&] { dispatch_helper_loop(st, 1, /*spin_probes=*/1, counters); });
-
-    dispatch_publish(st, fa, 2, 1);
-    dispatch_work(st, fa, 2, 1, 0, counters);
-    mc::require(dispatch_drain_and_close(st, 2) == nullptr, "batch A error");
-
-    dispatch_publish(st, fb, 2, 1);
-    dispatch_work(st, fb, 2, 1, 0, counters);
-    mc::require(dispatch_drain_and_close(st, 2) == nullptr, "batch B error");
-
-    mc::require(runs_a[0] == 1 && runs_a[1] == 1,
-                "batch A index not exactly once");
-    mc::require(runs_b[0] == 1 && runs_b[1] == 1,
-                "batch B index not exactly once");
-
-    dispatch_shutdown(st);
-    mc::join(helper);
   });
   EXPECT_FALSE(r.violation) << r.summary();
   EXPECT_TRUE(r.exhausted) << r.summary();

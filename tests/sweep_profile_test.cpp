@@ -51,6 +51,25 @@ TEST(SweepObserver, SerialRunnerReportsWorkerZero) {
   EXPECT_EQ(seen, (std::vector<int>{0, 0, 0, 0}));
 }
 
+// A batch smaller than the runner runs on min(threads(), n) workers, so an
+// 8-thread runner mapping 3 points reports only workers 0, 1 and 2.
+TEST(SweepObserver, SmallBatchReportsOnlyItsOwnWorkers) {
+  experiment::SweepRunner runner{8};
+  std::mutex mu;
+  std::set<int> workers;
+  runner.set_observer({[&](std::size_t, int w) {
+                         std::lock_guard lock{mu};
+                         workers.insert(w);
+                       },
+                       {}});
+  runner.run_indexed(3, [](std::size_t) {});
+  ASSERT_FALSE(workers.empty());
+  for (int w : workers) {
+    EXPECT_GE(w, 0);
+    EXPECT_LT(w, 3);
+  }
+}
+
 TEST(SweepProfile, AccountsPointsAndWorkers) {
   telemetry::SweepProfile prof{4};
   experiment::SweepRunner runner{2};

@@ -1,35 +1,28 @@
-// Positive thread-safety fixture: every guarded SweepBatchState access
-// below holds the mutex through core::LockGuard / core::CvLock, so this TU
-// must compile cleanly under -Wthread-safety -Werror=thread-safety (see
+// Positive thread-safety fixture: every guarded SweepClaims access below
+// holds the mutex through core::LockGuard / core::CvLock, so this TU must
+// compile cleanly under -Wthread-safety -Werror=thread-safety (see
 // scripts/check_thread_safety.py).
 #include <cstddef>
 
 #include "core/thread_annotations.hpp"
-#include "experiment/sweep_dispatch.hpp"
+#include "experiment/dispatch_protocol.hpp"
 
 namespace {
 
-std::size_t guarded_reads(rbs::experiment::detail::SweepBatchState& state) {
-  rbs::core::LockGuard lock{state.mutex};
-  return state.batch_size + state.chunk + state.in_flight +
-         static_cast<std::size_t>(state.sleeping_helpers) +
-         static_cast<std::size_t>(state.point != nullptr) +
-         static_cast<std::size_t>(static_cast<bool>(state.first_error));
+std::size_t guarded_reads(rbs::experiment::detail::SweepClaims& claims) {
+  rbs::core::LockGuard lock{claims.mutex};
+  return claims.next + static_cast<std::size_t>(static_cast<bool>(claims.first_error));
 }
 
-void guarded_writes(rbs::experiment::detail::SweepBatchState& state) {
-  rbs::core::CvLock lock{state.mutex};
-  state.batch_size = 8;
-  state.chunk = 2;
-  state.in_flight = 0;
-  ++state.sleeping_helpers;
-  state.first_error = nullptr;
-  state.point = nullptr;
+void guarded_writes(rbs::experiment::detail::SweepClaims& claims) {
+  rbs::core::CvLock lock{claims.mutex};
+  ++claims.next;
+  claims.first_error = nullptr;
 }
 
 }  // namespace
 
-int run_fixture(rbs::experiment::detail::SweepBatchState& state) {
-  guarded_writes(state);
-  return static_cast<int>(guarded_reads(state));
+int run_fixture(rbs::experiment::detail::SweepClaims& claims) {
+  guarded_writes(claims);
+  return static_cast<int>(guarded_reads(claims));
 }
