@@ -1,26 +1,35 @@
 // lab_testbed — recreate the paper's §5.2 laboratory methodology in
 // simulation: a Harpoon-style closed-loop session workload (file transfers
 // with think times, heavy-tailed sizes) offered to a router whose interface
-// queue is resized between runs, with a packet tracer attached for
-// spot-checks — the workflow of the paper's Cisco GSR experiment.
+// queue is resized between runs, with an optional event trace of one run
+// for spot-checks — the workflow of the paper's Cisco GSR experiment.
 //
-//   $ ./lab_testbed              # sweep 0.5x/1x/2x/3x of the sqrt rule
-//   $ ./lab_testbed --trace      # also dump the first 30 bottleneck events
+//   $ ./lab_testbed                  # sweep 0.5x/1x/2x/3x of the sqrt rule
+//   $ ./lab_testbed --trace out.json # also trace the 1.0x run (Chrome JSON,
+//                                    # open in Perfetto)
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 
 #include "core/sizing_rules.hpp"
 #include "experiment/reporting.hpp"
 #include "net/dumbbell.hpp"
-#include "net/packet_tracer.hpp"
 #include "sim/simulation.hpp"
 #include "stats/utilization.hpp"
+#include "telemetry/trace.hpp"
 #include "traffic/session_workload.hpp"
 
 int main(int argc, char** argv) {
   using namespace rbs;
-  const bool want_trace = argc > 1 && std::strcmp(argv[1], "--trace") == 0;
+  const char* trace_path = nullptr;
+  if (argc > 1) {
+    if (argc != 3 || std::strcmp(argv[1], "--trace") != 0) {
+      std::fprintf(stderr, "usage: lab_testbed [--trace PATH]\n");
+      return 2;
+    }
+    trace_path = argv[2];
+  }
 
   // The testbed: OC3 bottleneck, 240 user sessions with heavy-tailed file
   // sizes (mean ~60 pkts) and 300 ms think time — offered demand right at
@@ -40,16 +49,19 @@ int main(int argc, char** argv) {
                                   "transfers done", "median-ish AFCT (ms)", "drops"}};
 
   for (const double mult : {0.5, 1.0, 2.0, 3.0}) {
+    // The ring keeps the most recent window of the run: its measured tail.
+    std::unique_ptr<telemetry::TraceSession> trace;
+    if (trace_path != nullptr && mult == 1.0) {
+      trace = std::make_unique<telemetry::TraceSession>();
+    }
     sim::Simulation sim{7};
+    sim.set_trace(trace.get());
     net::DumbbellConfig topo_cfg;
     topo_cfg.num_leaves = leaves;
     topo_cfg.bottleneck_rate = core::BitsPerSec{rate};
     topo_cfg.buffer_packets =
         std::max<std::int64_t>(4, static_cast<std::int64_t>(std::llround(mult * rule)));
     net::Dumbbell topo{sim, topo_cfg};
-
-    net::PacketTracer tracer{sim, /*max_records=*/want_trace ? 30u : 1u};
-    if (want_trace && mult == 1.0) tracer.attach(topo.bottleneck());
 
     traffic::ParetoFlowSize sizes{1.1, 10, 50'000};
     traffic::SessionWorkloadConfig wl_cfg;
@@ -75,9 +87,10 @@ int main(int argc, char** argv) {
                             static_cast<unsigned long long>(
                                 topo.bottleneck().queue().stats().dropped_packets))});
 
-    if (want_trace && mult == 1.0) {
-      std::printf("first bottleneck events at 1.0x (tcpdump-style):\n%s\n",
-                  tracer.to_text().c_str());
+    if (trace) {
+      if (!trace->write_chrome_json(trace_path)) return 1;  // the writer reports why
+      std::printf("trace of the 1.0x run: %s (%zu events; open in Perfetto)\n\n", trace_path,
+                  trace->size());
     }
   }
 

@@ -1,17 +1,18 @@
 """rbs-analyze: simulator-semantics static analysis for the rbs codebase.
 
-An AST-grounded analyzer with simulator-specific rules the regex lint
-(scripts/lint_determinism.py) cannot express:
+An AST-grounded analyzer with simulator-specific rules, and the repo's one
+determinism checker:
 
-  R1  nondeterminism sources (random_device, rand, wall clocks,
-      pointer-keyed ordered containers) outside an allowlist
-  R2  iteration over unordered_map/unordered_set whose loop body has
-      observable effects
+  R1  nondeterminism sources (random_device, rand, std engines and
+      distributions, wall clocks, pointer-keyed ordered containers, raw
+      picosecond literals outside src/sim/time.hpp) outside an allowlist
+  R2  unordered_map/unordered_set declared without a justification, or
+      iterated by a loop body with observable effects
   R3  raw double/int64 parameters or members with unit-suffixed names
       (_ps/_seconds/_bytes/_bps/_pkts) crossing public API boundaries
       instead of the strong types in src/core/units.hpp and sim/time.hpp
   R4  RNG discipline: every Rng forked from a named stream, never
-      default- or literal-seeded outside tests/
+      default-, empty-brace- or literal-seeded outside tests/
   R5  event-callback lifetime: no by-reference captures in lambdas handed
       to the pooled scheduler (schedule_at/schedule_after/at/after)
   R6  concurrency classification: no writes through by-ref captures inside

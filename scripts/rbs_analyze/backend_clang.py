@@ -15,6 +15,9 @@ adjacency) that libclang does not surface — GNU thread-safety attributes
 are invisible to the Python bindings. Both backends therefore run R6–R8
 through the shared token engine over the same cross-TU symbol index, which
 makes their findings identical by construction rather than by convention.
+The spelling-level prongs of R1, R2 and R4 (rules.TOKEN_PRONGS: std
+engines and distributions, raw picosecond literals, unordered-container
+declarations, empty-brace Rng) ride the token engine the same way.
 """
 from __future__ import annotations
 
@@ -26,7 +29,9 @@ from .rules import (
     ALL_RULES,
     RAW_SCALAR_TYPES,
     SCHEDULER_CALLS,
+    TOKEN_PRONGS,
     UNIT_SUFFIXES,
+    UNORDERED_CONTAINERS,
     WALL_CLOCK_ALLOWED_PREFIXES,
     WALL_CLOCK_IDENTS,
     build_context,
@@ -59,7 +64,7 @@ def _rel(repo: Path, filename: str) -> Optional[str]:
 
 
 def _is_unordered(type_spelling: str) -> bool:
-    return "unordered_map<" in type_spelling or "unordered_set<" in type_spelling
+    return any(f"{c}<" in type_spelling for c in UNORDERED_CONTAINERS)
 
 
 def analyze(repo: Path, files: List[Path], rules: List[str],
@@ -67,11 +72,12 @@ def analyze(repo: Path, files: List[Path], rules: List[str],
     import clang.cindex as ci
 
     ast_rules = [r for r in rules if r not in TOKEN_ENGINE_RULES]
-    token_rules = [r for r in rules if r in TOKEN_ENGINE_RULES]
+    token_checks = [ALL_RULES[r] for r in rules if r in TOKEN_ENGINE_RULES]
+    token_checks += [check for r in ast_rules for check in TOKEN_PRONGS.get(r, ())]
 
     findings: List[Finding] = []
-    if token_rules:
-        findings.extend(_token_engine(repo, files, token_rules))
+    if token_checks:
+        findings.extend(_token_engine(repo, files, token_checks))
 
     index = ci.Index.create()
     compdb = None
@@ -106,9 +112,9 @@ def analyze(repo: Path, files: List[Path], rules: List[str],
     return sorted(set(apply_suppressions(findings, suppressions)))
 
 
-def _token_engine(repo: Path, files: List[Path], rules: List[str]) -> List[Finding]:
-    """Runs the shared token-based rules (R6–R8) exactly as the textual
-    backend does, so both backends agree on every concurrency finding."""
+def _token_engine(repo: Path, files: List[Path], checks) -> List[Finding]:
+    """Runs the shared token-based checks exactly as the textual backend
+    does, so both backends agree on every finding they produce."""
     from .lexer import tokenize
 
     tokens = {}
@@ -124,8 +130,8 @@ def _token_engine(repo: Path, files: List[Path], rules: List[str]) -> List[Findi
     ctx = build_context(tokens, repo)
     out: List[Finding] = []
     for rel, toks in tokens.items():
-        for rule in rules:
-            out.extend(ALL_RULES[rule](rel, toks, ctx))
+        for check in checks:
+            out.extend(check(rel, toks, ctx))
     return out
 
 

@@ -39,23 +39,10 @@ class Finding:
 
 
 # `// rbs-analyze: allow(R2) -- reason` suppresses that rule on the same
-# line or the line below the comment. The legacy determinism-lint syntax
-# `// rbs-lint: allow(unordered-iteration) -- reason` is honored for the
-# rules it maps onto so existing justified sites keep working.
+# line or the line below the comment.
 _ALLOW_RE = re.compile(
     r"//\s*rbs-analyze:\s*allow\((R\d+(?:\s*,\s*R\d+)*)\)\s*--\s*\S"
 )
-_LEGACY_ALLOW_RE = re.compile(
-    r"//\s*rbs-lint:\s*allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)(\s*--\s*\S.*)?"
-)
-_LEGACY_RULE_MAP = {
-    "unordered-iteration": "R2",
-    "unordered-container": "R2",
-    "wall-clock": "R1",
-    "std-rand": "R1",
-    "raw-time": "R1",
-    "unseeded-rng": "R4",
-}
 
 
 def collect_suppressions(text: str) -> Dict[int, Set[str]]:
@@ -66,17 +53,9 @@ def collect_suppressions(text: str) -> Dict[int, Set[str]]:
     """
     out: Dict[int, Set[str]] = {}
     for i, line in enumerate(text.splitlines(), start=1):
-        rules: Set[str] = set()
         m = _ALLOW_RE.search(line)
         if m:
-            rules.update(r.strip() for r in m.group(1).split(","))
-        m = _LEGACY_ALLOW_RE.search(line)
-        if m:
-            for name in (r.strip() for r in m.group(1).split(",")):
-                mapped = _LEGACY_RULE_MAP.get(name)
-                if mapped:
-                    rules.add(mapped)
-        if rules:
+            rules = {r.strip() for r in m.group(1).split(",")}
             out.setdefault(i, set()).update(rules)
             out.setdefault(i + 1, set()).update(rules)
     return out

@@ -36,8 +36,8 @@ RAW_SCALAR_TYPES = {
 }
 UNIT_SUFFIXES = ("_ps", "_seconds", "_bytes", "_bps", "_pkts")
 
-# Wall-clock reads are sanctioned where the regex lint sanctions them:
-# telemetry (profiling/tracing needs real time) and bench harnesses.
+# Wall-clock reads are sanctioned in telemetry (profiling/tracing needs real
+# time) and bench harnesses (they measure themselves).
 WALL_CLOCK_ALLOWED_PREFIXES = ("src/telemetry/", "bench/")
 WALL_CLOCK_IDENTS = {
     "system_clock",
@@ -45,6 +45,32 @@ WALL_CLOCK_IDENTS = {
     "high_resolution_clock",
     "gettimeofday",
     "clock_gettime",
+}
+
+# std engines R1 rejects alongside every std::*_distribution. Randomness
+# must come from sim::Rng's seeded, forked streams; the distributions and
+# default_random_engine are implementation-defined, so they also differ
+# across standard libraries.
+STD_RANDOM_ENGINES = {
+    "mt19937",
+    "mt19937_64",
+    "minstd_rand",
+    "minstd_rand0",
+    "default_random_engine",
+}
+
+# Picosecond-scale literals: three or more thousands-groups (1'000'000'000
+# and longer). Two groups (1'000'000) are flow-id offsets and packet counts,
+# not times. Only src/sim/time.hpp, which defines the SimTime factories, may
+# spell ticks directly.
+RAW_TIME_RE = re.compile(r"\d{1,3}(?:'\d{3}){3,}(?![\d'])")
+RAW_TIME_HOME = "src/sim/time.hpp"
+
+UNORDERED_CONTAINERS = {
+    "unordered_map",
+    "unordered_set",
+    "unordered_multimap",
+    "unordered_multiset",
 }
 
 SCHEDULER_CALLS = {"schedule_at", "schedule_after", "at", "after"}
@@ -116,7 +142,7 @@ def build_context(files: Dict[str, List[Token]],
     ctx.metric_reference = _load_metric_reference(repo)
     for tokens in files.values():
         for i, t in enumerate(tokens):
-            if t.text in ("unordered_map", "unordered_set"):
+            if t.text in UNORDERED_CONTAINERS:
                 j = i + 1
                 if j < len(tokens) and tokens[j].text == "<":
                     close = find_matching(tokens, j, "<", ">")
@@ -198,7 +224,35 @@ def rule_r1(path: str, tokens: List[Token], ctx: AnalysisContext) -> List[Findin
                                     f"std::{t.text} keyed by a pointer type iterates in address order",
                                     "key by a stable id (FlowId, NodeId, name) instead of a pointer")
                         )
+    return findings + r1_std_random(path, tokens, ctx) + r1_raw_time(path, tokens, ctx)
+
+
+def r1_std_random(path: str, tokens: List[Token], ctx: AnalysisContext) -> List[Finding]:
+    findings: List[Finding] = []
+    for i, t in enumerate(tokens):
+        if t.kind != "ident" or not match_seq(tokens, i - 2, "std", "::"):
+            continue
+        if t.text in STD_RANDOM_ENGINES or t.text.endswith("_distribution"):
+            findings.append(
+                Finding(path, t.line, "R1",
+                        f"std::{t.text} bypasses sim::Rng",
+                        "draw from a sim::Rng forked from a named stream (std "
+                        "distributions differ across standard libraries)")
+            )
     return findings
+
+
+def r1_raw_time(path: str, tokens: List[Token], ctx: AnalysisContext) -> List[Finding]:
+    if path == RAW_TIME_HOME:
+        return []
+    return [
+        Finding(path, t.line, "R1",
+                f"raw picosecond-scale literal {t.text} bypasses sim::SimTime",
+                "use the SimTime factories (seconds/milliseconds/...) instead "
+                "of tick arithmetic")
+        for t in tokens
+        if t.kind == "number" and RAW_TIME_RE.match(t.text)
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -275,6 +329,28 @@ def rule_r2(path: str, tokens: List[Token], ctx: AnalysisContext) -> List[Findin
                     "ordered container, or justify with "
                     "// rbs-analyze: allow(R2) -- <reason>")
         )
+    return findings + r2_unordered_decl(path, tokens, ctx)
+
+
+def r2_unordered_decl(path: str, tokens: List[Token], ctx: AnalysisContext) -> List[Finding]:
+    """Every spelled std::unordered_* needs a justification up front: a
+    lookup-only container today is one range-for away from hash-order
+    output, and the declaration is where the proof belongs."""
+    findings: List[Finding] = []
+    lines: Set[int] = set()
+    for i, t in enumerate(tokens):
+        if t.text not in UNORDERED_CONTAINERS or t.line in lines:
+            continue
+        if match_seq(tokens, i - 2, "std", "::") and match_seq(tokens, i + 1, "<"):
+            lines.add(t.line)
+            findings.append(
+                Finding(path, t.line, "R2",
+                        f"std::{t.text} declared without a justification "
+                        "(its iteration order is the hash layout)",
+                        "use an ordered container, or justify with "
+                        "// rbs-analyze: allow(R2) -- <proof it is lookup-only "
+                        "or iterated via sorted keys>")
+            )
     return findings
 
 
@@ -355,6 +431,29 @@ def rule_r4(path: str, tokens: List[Token], ctx: AnalysisContext) -> List[Findin
                             "derive from the run seed via a named stream: "
                             "sim.rng().fork(kMyStream) or Rng{config.seed}")
                 )
+    return findings + r4_empty_brace(path, tokens, ctx)
+
+
+def r4_empty_brace(path: str, tokens: List[Token], ctx: AnalysisContext) -> List[Finding]:
+    """`Rng a{}` and `Rng{}`: value-initialized, so unseeded. `Rng();` is
+    a constructor declaration, not a construction, and is left alone."""
+    if _in_tests(path):
+        return []
+    findings: List[Finding] = []
+    for i, t in enumerate(tokens):
+        if t.text != "Rng" or t.kind != "ident":
+            continue
+        j = i + 1
+        name = "temporary"
+        if j < len(tokens) and tokens[j].kind == "ident":
+            name = f"'{tokens[j].text}'"
+            j += 1
+        if match_seq(tokens, j, "{", "}"):
+            findings.append(
+                Finding(path, t.line, "R4",
+                        f"Rng {name} value-initialized with {{}} (unseeded)",
+                        "fork from a named stream: sim.rng().fork(kMyStream)")
+            )
     return findings
 
 
@@ -1038,4 +1137,14 @@ ALL_RULES = {
     "R10": rule_r10,
     "R11": rule_r11,
     "R12": rule_r12,
+}
+
+# Token-stream prongs of R1, R2 and R4. The clang backend runs them on the
+# token engine next to its AST visitors for the rest of those rules, so both
+# backends report them identically (digit separators and empty braces do not
+# survive into the AST at all).
+TOKEN_PRONGS = {
+    "R1": (r1_std_random, r1_raw_time),
+    "R2": (r2_unordered_decl,),
+    "R4": (r4_empty_brace,),
 }

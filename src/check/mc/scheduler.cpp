@@ -860,13 +860,13 @@ class Engine {
   std::vector<std::unique_ptr<VThread>> threads_;
   // Address-keyed object registries: lookup-only (never iterated), reset
   // per execution, so unordered lookup cannot leak iteration order anywhere.
-  // rbs-lint: allow(unordered-container) -- lookup-only registry, never iterated
+  // rbs-analyze: allow(R2) -- lookup-only registry, never iterated
   std::unordered_map<const void*, AtomicState> atomics_;
-  // rbs-lint: allow(unordered-container) -- lookup-only registry, never iterated
+  // rbs-analyze: allow(R2) -- lookup-only registry, never iterated
   std::unordered_map<const void*, PlainState> plains_;
-  // rbs-lint: allow(unordered-container) -- lookup-only registry, never iterated
+  // rbs-analyze: allow(R2) -- lookup-only registry, never iterated
   std::unordered_map<const void*, MutexState> mutexes_;
-  // rbs-lint: allow(unordered-container) -- lookup-only registry, never iterated
+  // rbs-analyze: allow(R2) -- lookup-only registry, never iterated
   std::unordered_map<const void*, CvState> cvs_;
   std::vector<Ev> events_;
   std::vector<Node> path_;  // persistent DFS state (kExhaustive)

@@ -64,7 +64,7 @@ class DrrQueue final : public Queue {
 
   /// Keyed store only: every result-affecting walk (eviction victim scan,
   /// DRR service) iterates `active_`, and audit() sorts the keys first.
-  // rbs-lint: allow(unordered-container) -- lookups only; iteration goes through active_ or sorted keys
+  // rbs-analyze: allow(R2) -- lookups only; iteration goes through active_ or sorted keys
   std::unordered_map<FlowId, FlowState> flows_;
   std::list<FlowId> active_;  ///< round-robin order of backlogged flows
 };

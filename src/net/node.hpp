@@ -66,7 +66,7 @@ class Host final : public Node {
 
  private:
   PacketSink* uplink_{nullptr};
-  // rbs-lint: allow(unordered-container) -- emplace/find/erase only (node.cpp); never iterated
+  // rbs-analyze: allow(R2) -- emplace/find/erase only (node.cpp); never iterated
   std::unordered_map<FlowId, Agent*> agents_;
   std::uint64_t unclaimed_{0};
 };
@@ -90,7 +90,7 @@ class Router final : public Node {
   [[nodiscard]] std::uint64_t unroutable_packets() const noexcept { return unroutable_; }
 
  private:
-  // rbs-lint: allow(unordered-container) -- keyed insert/find only (node.cpp); never iterated
+  // rbs-analyze: allow(R2) -- keyed insert/find only (node.cpp); never iterated
   std::unordered_map<NodeId, PacketSink*> routes_;
   PacketSink* default_route_{nullptr};
   std::uint64_t unroutable_{0};

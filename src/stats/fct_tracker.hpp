@@ -10,8 +10,6 @@
 //     than silently double-recorded.
 #pragma once
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -80,22 +78,6 @@ class FctTracker {
 
   /// AFCT in seconds over all records.
   [[nodiscard]] double afct_seconds() const noexcept { return afct_filtered().mean(); }
-
-  /// Nearest-rank quantile of completion time in seconds over all records.
-  /// `q` is clamped to [0, 1]; returns 0 with no records (an unambiguous
-  /// "no data" for tests and report tables).
-  [[nodiscard]] double quantile_seconds(double q) const {
-    if (records_.empty()) return 0.0;
-    q = std::clamp(q, 0.0, 1.0);
-    std::vector<double> times;
-    times.reserve(records_.size());
-    for (const auto& r : records_) times.push_back(r.completion_time().to_seconds());
-    std::sort(times.begin(), times.end());
-    const auto n = times.size();
-    const auto rank = static_cast<std::size_t>(
-        std::ceil(q * static_cast<double>(n)));
-    return times[rank > 0 ? std::min(rank, n) - 1 : 0];
-  }
 
   /// Summary of completion times (seconds) for flows that *started* at or
   /// after `from` (so warm-up flows can be excluded) and whose size is within

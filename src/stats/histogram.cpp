@@ -29,15 +29,4 @@ double Histogram::density(int i) const noexcept {
          (static_cast<double>(total_) * width_);
 }
 
-double Histogram::quantile(double q) const noexcept {
-  if (total_ == 0) return lo_;
-  const double target = q * static_cast<double>(total_);
-  double cum = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    cum += static_cast<double>(counts_[i]);
-    if (cum >= target) return lo_ + (static_cast<double>(i) + 1.0) * width_;
-  }
-  return hi_;
-}
-
 }  // namespace rbs::stats

@@ -1,4 +1,4 @@
-// Fixed-bin histogram with quantiles and a normalized density view.
+// Fixed-bin histogram with a normalized density view.
 #pragma once
 
 #include <cstdint>
@@ -24,9 +24,6 @@ class Histogram {
 
   /// Probability density at bin i (integrates to ~1 over the range).
   [[nodiscard]] double density(int i) const noexcept;
-
-  /// Smallest x with cumulative probability >= q (q in [0,1]).
-  [[nodiscard]] double quantile(double q) const noexcept;
 
  private:
   double lo_;

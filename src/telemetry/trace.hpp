@@ -1,8 +1,8 @@
 // Low-overhead binary event tracer with Chrome trace_event JSON export.
 //
 // A TraceSession is a fixed-capacity ring buffer of 64-byte binary records.
-// Producers (links, TCP endpoints, the packet tracer, samplers, the
-// invariant auditor) append span ("complete"), instant, and counter events
+// Producers (links, queues, TCP endpoints, samplers, the invariant
+// auditor) append span ("complete"), instant, and counter events
 // stamped with simulated time; to_chrome_json() renders the buffer as the
 // Chrome trace_event format, loadable in chrome://tracing or
 // https://ui.perfetto.dev, so every subsystem's events line up on one clock.

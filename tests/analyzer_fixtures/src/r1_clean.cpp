@@ -20,3 +20,6 @@ double good_entropy(const Config& config) {
 
 using FlowId = std::int64_t;
 std::map<FlowId, int> g_flow_weights;  // value-keyed: stable iteration order
+
+// Two thousands-groups are a count (flow-id offset), not picosecond ticks.
+constexpr FlowId kShortFlowIdBase = 1'000'000;

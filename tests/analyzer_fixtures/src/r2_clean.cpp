@@ -1,6 +1,7 @@
 // rbs-analyze-fixture-expect:
-// The three sanctioned ways to touch an unordered container:
-// key-lookup only, the collect-then-sort pattern, and a justified allow().
+// The sanctioned ways to touch an unordered container: a justified
+// declaration, key-lookup only, the collect-then-sort pattern, and a
+// justified allow() on a loop.
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
@@ -8,6 +9,7 @@
 #include <vector>
 
 struct Workload {
+  // rbs-analyze: allow(R2) -- lookups only; iteration goes through sorted keys
   std::unordered_map<std::int64_t, int> active_;
 
   int lookup(std::int64_t id) const { return active_.at(id); }

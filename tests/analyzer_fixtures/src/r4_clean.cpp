@@ -3,6 +3,7 @@
 #include <cstdint>
 
 struct Rng {
+  Rng();  // a constructor declaration, not an unseeded construction
   explicit Rng(std::uint64_t seed);
   Rng fork(std::uint64_t stream) const;
   double uniform();

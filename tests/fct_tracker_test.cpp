@@ -70,36 +70,6 @@ TEST(FctTrackerTest, DuplicateCompletionIsRejectedAndCounted) {
   EXPECT_DOUBLE_EQ(t.afct_seconds(), 1.0);
 }
 
-TEST(FctTrackerTest, QuantileOfEmptyTrackerIsZero) {
-  FctTracker t;
-  EXPECT_DOUBLE_EQ(t.quantile_seconds(0.5), 0.0);
-  EXPECT_DOUBLE_EQ(t.quantile_seconds(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(t.quantile_seconds(1.0), 0.0);
-}
-
-TEST(FctTrackerTest, QuantileSingleRecordIsThatRecordForAllQ) {
-  FctTracker t;
-  t.record(1, SimTime::zero(), SimTime::milliseconds(250));
-  EXPECT_DOUBLE_EQ(t.quantile_seconds(0.0), 0.25);
-  EXPECT_DOUBLE_EQ(t.quantile_seconds(0.5), 0.25);
-  EXPECT_DOUBLE_EQ(t.quantile_seconds(1.0), 0.25);
-}
-
-TEST(FctTrackerTest, QuantileEdgesAndClamping) {
-  FctTracker t;
-  for (int i = 1; i <= 10; ++i) {
-    t.record(1, SimTime::zero(), SimTime::seconds(i));
-  }
-  // Nearest-rank: q=0 -> min, q=1 -> max; out-of-range q is clamped.
-  EXPECT_DOUBLE_EQ(t.quantile_seconds(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(t.quantile_seconds(1.0), 10.0);
-  EXPECT_DOUBLE_EQ(t.quantile_seconds(-3.0), 1.0);
-  EXPECT_DOUBLE_EQ(t.quantile_seconds(7.0), 10.0);
-  EXPECT_DOUBLE_EQ(t.quantile_seconds(0.5), 5.0);
-  EXPECT_DOUBLE_EQ(t.quantile_seconds(0.05), 1.0);
-  EXPECT_DOUBLE_EQ(t.quantile_seconds(0.11), 2.0);
-}
-
 TEST(FctTrackerTest, AuditCleanOnConsistentState) {
   FctTracker t;
   t.start_flow(1, 10, SimTime::zero());

@@ -78,6 +78,29 @@ TEST(DropTailQueue, ShrinkingLimitKeepsQueuedPackets) {
   EXPECT_TRUE(q.enqueue(make_packet(10)));
 }
 
+TEST(DropTailByteLimit, EnforcesByteCeiling) {
+  DropTailQueue q{100, /*limit_bytes=*/core::Bytes{2500}};
+  Packet p;
+  p.size_bytes = 1000;
+  EXPECT_TRUE(q.enqueue(p));
+  EXPECT_TRUE(q.enqueue(p));
+  EXPECT_FALSE(q.enqueue(p));  // 3000 > 2500
+  p.size_bytes = 400;
+  EXPECT_TRUE(q.enqueue(p));  // 2400 fits
+  EXPECT_EQ(q.size_bytes(), 2400);
+  EXPECT_EQ(q.stats().dropped_packets, 1u);
+}
+
+TEST(DropTailByteLimit, ZeroMeansUnlimited) {
+  DropTailQueue q{3};
+  Packet p;
+  p.size_bytes = 1'000'000;
+  EXPECT_TRUE(q.enqueue(p));
+  EXPECT_TRUE(q.enqueue(p));
+  EXPECT_TRUE(q.enqueue(p));
+  EXPECT_FALSE(q.enqueue(p));  // packet limit still applies
+}
+
 TEST(QueueLimitValidation, NegativeLimitsAreRejectedEverywhere) {
   EXPECT_THROW(net::DropTailQueue(-1), std::invalid_argument);
   EXPECT_THROW(net::DropTailQueue(10, core::Bytes{-1}), std::invalid_argument);

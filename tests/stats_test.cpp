@@ -84,14 +84,6 @@ TEST(Histogram, OutOfRangeClampsToEdgeBins) {
   EXPECT_EQ(h.total(), 2u);
 }
 
-TEST(Histogram, QuantileMonotone) {
-  Histogram h{0.0, 100.0, 100};
-  for (int i = 0; i < 10'000; ++i) h.add(static_cast<double>(i % 100));
-  EXPECT_NEAR(h.quantile(0.5), 50.0, 2.0);
-  EXPECT_NEAR(h.quantile(0.9), 90.0, 2.0);
-  EXPECT_LE(h.quantile(0.1), h.quantile(0.9));
-}
-
 TEST(Histogram, WeightedAdds) {
   Histogram h{0.0, 4.0, 4};
   h.add(0.5, 10);
