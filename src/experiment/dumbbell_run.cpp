@@ -1,6 +1,9 @@
 #include "experiment/dumbbell_run.hpp"
 
 #include <algorithm>
+#include <optional>
+
+#include "net/drop_tail_queue.hpp"
 
 namespace rbs::experiment {
 
@@ -153,9 +156,27 @@ TelemetryResult DumbbellRun::finish() {
   return tele.finish();
 }
 
+std::int64_t DumbbellRun::peak_backlog_packets() noexcept {
+  const auto* queue = dynamic_cast<const net::DropTailQueue*>(&topo.bottleneck().queue());
+  if (queue == nullptr || !queue->limit_bytes().is_zero()) return -1;
+  return queue->peak_backlog_packets();
+}
+
 std::int64_t bisect_buffer(std::int64_t lo, std::int64_t hi,
-                           const std::function<bool(std::int64_t)>& ok) {
+                           const std::function<BufferProbe(std::int64_t)>& probe) {
   require(lo >= 1 && hi >= lo, "buffer bisection: need 1 <= lo <= hi");
+  // The widest-reaching outcome so far; it stands for every buffer from its
+  // reproduced_from up.
+  std::optional<BufferProbe> known;
+  const auto ok = [&](std::int64_t buffer) {
+    if (known && buffer >= known->reproduced_from) return known->ok;
+    const BufferProbe fresh = probe(buffer);
+    if (fresh.reproduced_from != BufferProbe::kOwnBufferOnly &&
+        (!known || fresh.reproduced_from < known->reproduced_from)) {
+      known = fresh;
+    }
+    return fresh.ok;
+  };
   if (!ok(hi)) return hi;  // unreachable within range
   while (lo < hi) {
     const std::int64_t mid = lo + (hi - lo) / 2;

@@ -9,7 +9,7 @@
 //   ...build the workload on run.sim / run.topo...
 //   run.arm(audit_parts);          // fault injector, auditor, crash probes
 //   run.warm_up(extra_probes);     // warm-up, reset, telemetry start
-//   run.sample_queue(interval);    // bottleneck occupancy sampler
+//   run.sample_queue(interval);    // bottleneck occupancy sampler (not in probes)
 //   ...runner-specific samplers...
 //   run.measure(&convergence, early_exit);  // run to the end, final audit
 //   ...harvest: utilization(), drop_fraction(), fault_drops(), ...
@@ -17,11 +17,15 @@
 //
 // The order of the schedule/start calls is part of the determinism
 // contract: events due at the same instant fire in scheduling order, so a
-// runner must not reorder these steps (goldens pin the outcome).
+// runner must not reorder these steps (goldens pin the outcome). A
+// bisection probe walks the same steps minus sample_queue: the sampler's
+// ticks only read the queue, so leaving them out keeps every other event in
+// the same (time, seq) order, and no verdict reads what they collect.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -139,6 +143,10 @@ class DumbbellRun {
   [[nodiscard]] double mean_queue_packets() const noexcept { return occupancy_.mean(); }
   /// Survival function P(Q >= b), b = index, of the sampled occupancy.
   [[nodiscard]] std::vector<double> queue_tail() const;
+  /// Largest backlog any arrival found at the bottleneck over the whole
+  /// run, warm-up included; -1 unless the bottleneck is drop-tail without a
+  /// byte ceiling, the one queue whose drops this number alone decides.
+  [[nodiscard]] std::int64_t peak_backlog_packets() noexcept;
 
   /// Exports the convergence gauges and closes the telemetry.
   [[nodiscard]] TelemetryResult finish();
@@ -161,11 +169,39 @@ class DumbbellRun {
   std::unique_ptr<stats::PeriodicSampler> conv_sampler_;
 };
 
-/// Smallest buffer in [lo, hi] for which `ok` holds, by bisection over
-/// fresh runs; `hi` when even `hi` fails. Measurements are noisy, so the
-/// answer is the smallest probed buffer that passed while its predecessor
-/// failed. Throws std::invalid_argument unless 1 <= lo <= hi.
-[[nodiscard]] std::int64_t bisect_buffer(std::int64_t lo, std::int64_t hi,
-                                         const std::function<bool(std::int64_t)>& ok);
+/// One bisection probe: its verdict, and the smallest buffer from which its
+/// run repeats bit for bit. A bare verdict converts to a probe that holds
+/// for its own buffer only.
+struct BufferProbe {
+  static constexpr std::int64_t kOwnBufferOnly = std::numeric_limits<std::int64_t>::max();
+
+  constexpr BufferProbe(bool pass,  // NOLINT(runtime/explicit)
+                        std::int64_t from = kOwnBufferOnly) noexcept
+      : ok{pass}, reproduced_from{from} {}
+
+  bool ok;
+  std::int64_t reproduced_from;
+};
+
+/// The probe of a run at `buffer` whose bottleneck peaked at `peak_backlog`
+/// (DumbbellRun::peak_backlog_packets). A peak below the buffer means the
+/// run never dropped, and any buffer above the peak makes the same
+/// decisions, so the run repeats from peak + 1 up.
+[[nodiscard]] inline BufferProbe drop_free_probe(bool ok, std::int64_t buffer,
+                                                 std::int64_t peak_backlog) noexcept {
+  if (peak_backlog >= 0 && peak_backlog < buffer) return {ok, peak_backlog + 1};
+  return ok;
+}
+
+/// Smallest buffer in [lo, hi] for which `probe` passes; `hi` when even
+/// `hi` fails. Measurements are noisy, so the answer is the smallest probed
+/// buffer that passed while its predecessor failed. A buffer at or above
+/// an earlier probe's reproduced_from is answered from that probe's
+/// verdict without a run. As long as each reproduced_from is true to its
+/// run, the path and the answer are those of plain bisection over fresh
+/// runs, monotone predicate or not. Throws std::invalid_argument unless
+/// 1 <= lo <= hi.
+[[nodiscard]] std::int64_t bisect_buffer(
+    std::int64_t lo, std::int64_t hi, const std::function<BufferProbe(std::int64_t)>& probe);
 
 }  // namespace rbs::experiment

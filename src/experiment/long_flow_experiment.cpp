@@ -8,7 +8,10 @@
 
 namespace rbs::experiment {
 
-LongFlowExperimentResult run_long_flow_experiment(const LongFlowExperimentConfig& config) {
+namespace {
+
+LongFlowExperimentResult run_long_flows(const LongFlowExperimentConfig& config,
+                                        bool sample_queue) {
   require(config.num_flows >= 1, "long-flow experiment: num_flows must be >= 1");
   net::DumbbellConfig topo_cfg = dumbbell_for(config, config.num_flows);
   topo_cfg.discipline = config.discipline;
@@ -24,7 +27,7 @@ LongFlowExperimentResult run_long_flow_experiment(const LongFlowExperimentConfig
   run.arm([&workload](check::InvariantAuditor& auditor) { auditor.add("tcp", workload); });
   run.warm_up({{"cwnd_total_pkts", [&workload] { return workload.total_cwnd(); }}});
   const tcp::TcpSourceStats tcp_at_warmup = workload.total_stats();
-  run.sample_queue(sim::SimTime::milliseconds(10));
+  if (sample_queue) run.sample_queue(sim::SimTime::milliseconds(10));
 
   LongFlowExperimentResult result;
 
@@ -83,6 +86,7 @@ LongFlowExperimentResult run_long_flow_experiment(const LongFlowExperimentConfig
     result.fairness = stats::jain_fairness_index(goodput);
   }
   result.fault_drops = run.fault_drops();
+  result.peak_backlog_packets = run.peak_backlog_packets();
 
   // Per-flow harvest: long flows never complete, so each reports its
   // lifetime-to-date summary (completed = false) at measurement end.
@@ -95,13 +99,27 @@ LongFlowExperimentResult run_long_flow_experiment(const LongFlowExperimentConfig
   return result;
 }
 
+}  // namespace
+
+LongFlowExperimentResult run_long_flow_experiment(const LongFlowExperimentConfig& config) {
+  return run_long_flows(config, /*sample_queue=*/true);
+}
+
+LongFlowExperimentResult detail::run_long_flow_probe(const LongFlowExperimentConfig& config) {
+  return run_long_flows(config, /*sample_queue=*/false);
+}
+
 std::int64_t min_buffer_for_utilization(LongFlowExperimentConfig config,
                                         double target_utilization, std::int64_t lo,
                                         std::int64_t hi, const BufferProbePrepare& prepare) {
-  return bisect_buffer(lo, hi, [&](std::int64_t buffer) {
+  return bisect_buffer(lo, hi, [&](std::int64_t buffer) -> BufferProbe {
     config.buffer_packets = buffer;
     if (prepare) prepare(config, buffer);
-    return run_long_flow_experiment(config).utilization >= target_utilization;
+    const auto r = detail::run_long_flow_probe(config);
+    const bool ok = r.utilization >= target_utilization;
+    // The hook may tie the run to the buffer (DCTCP's K): no reuse then.
+    if (prepare) return ok;
+    return drop_free_probe(ok, buffer, r.peak_backlog_packets);
   });
 }
 

@@ -87,6 +87,10 @@ struct LongFlowExperimentResult {
   /// (down/in-flight/flushed/corrupted); zero without a fault schedule.
   std::uint64_t fault_drops{0};
 
+  /// Largest backlog any arrival found at the bottleneck over the whole run;
+  /// -1 unless the bottleneck is drop-tail (DumbbellRun::peak_backlog_packets).
+  std::int64_t peak_backlog_packets{-1};
+
   /// Snapshot + series collected per the config's TelemetryConfig.
   TelemetryResult telemetry;
 };
@@ -105,11 +109,20 @@ struct LongFlowExperimentResult {
 using BufferProbePrepare = std::function<void(LongFlowExperimentConfig&, std::int64_t)>;
 
 /// Smallest buffer (packets) achieving `target_utilization`, by
-/// bisect_buffer over fresh simulation runs in [lo, hi], each prepared by
-/// `prepare` (if set).
+/// bisect_buffer over probe runs (detail::run_long_flow_probe) in [lo, hi],
+/// each prepared by `prepare` (if set). Without a hook, a drop-tail probe
+/// that never dropped answers for every buffer above its peak backlog; a
+/// hook may tie the run to the buffer, so with one every probe runs.
 [[nodiscard]] std::int64_t min_buffer_for_utilization(LongFlowExperimentConfig config,
                                                       double target_utilization,
                                                       std::int64_t lo, std::int64_t hi,
                                                       const BufferProbePrepare& prepare = {});
+
+namespace detail {
+/// run_long_flow_experiment without the queue sampler, so mean_queue_packets
+/// stays 0 and the telemetry counts fewer events; every other field is
+/// bitwise the same. What a bisection probe runs.
+[[nodiscard]] LongFlowExperimentResult run_long_flow_probe(const LongFlowExperimentConfig& config);
+}  // namespace detail
 
 }  // namespace rbs::experiment

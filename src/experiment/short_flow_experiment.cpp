@@ -7,7 +7,10 @@
 
 namespace rbs::experiment {
 
-ShortFlowExperimentResult run_short_flow_experiment(const ShortFlowExperimentConfig& config) {
+namespace {
+
+ShortFlowExperimentResult run_short_flows(const ShortFlowExperimentConfig& config,
+                                          bool sample_queue) {
   require(config.load > 0, "short-flow experiment: load must be > 0");
   require(std::isfinite(config.load), "short-flow experiment: load must be finite");
   DumbbellRun run{config, dumbbell_for(config, config.num_leaves), config.warmup,
@@ -38,9 +41,11 @@ ShortFlowExperimentResult run_short_flow_experiment(const ShortFlowExperimentCon
 
   // Sample the queue once per packet service time — fine-grained enough to
   // catch burst-scale excursions.
-  const double pkt_time_sec =
-      8.0 * static_cast<double>(config.tcp.segment.count()) / config.bottleneck_rate.bps();
-  run.sample_queue(sim::SimTime::from_seconds(std::max(pkt_time_sec, 1e-6)));
+  if (sample_queue) {
+    const double pkt_time_sec =
+        8.0 * static_cast<double>(config.tcp.segment.count()) / config.bottleneck_rate.bps();
+    run.sample_queue(sim::SimTime::from_seconds(std::max(pkt_time_sec, 1e-6)));
+  }
   run.measure(&config.convergence, config.convergence_early_exit);
 
   ShortFlowExperimentResult result;
@@ -53,8 +58,19 @@ ShortFlowExperimentResult run_short_flow_experiment(const ShortFlowExperimentCon
   result.drop_probability = run.drop_fraction();
   result.queue_tail = run.queue_tail();
   result.fault_drops = run.fault_drops();
+  result.peak_backlog_packets = run.peak_backlog_packets();
   result.telemetry = run.finish();
   return result;
+}
+
+}  // namespace
+
+ShortFlowExperimentResult run_short_flow_experiment(const ShortFlowExperimentConfig& config) {
+  return run_short_flows(config, /*sample_queue=*/true);
+}
+
+ShortFlowExperimentResult detail::run_short_flow_probe(const ShortFlowExperimentConfig& config) {
+  return run_short_flows(config, /*sample_queue=*/false);
 }
 
 std::int64_t min_buffer_for_afct(ShortFlowExperimentConfig config, double baseline_afct_sec,
@@ -63,7 +79,10 @@ std::int64_t min_buffer_for_afct(ShortFlowExperimentConfig config, double baseli
   const double threshold = baseline_afct_sec * (1.0 + afct_penalty);
   return bisect_buffer(lo, hi, [&](std::int64_t buffer) {
     config.buffer_packets = buffer;
-    return run_short_flow_experiment(config).afct_seconds <= threshold;
+    const auto r = detail::run_short_flow_probe(config);
+    // No completed flow is no evidence: the empty mean of 0 would pass.
+    return drop_free_probe(r.flows_completed > 0 && r.afct_seconds <= threshold, buffer,
+                           r.peak_backlog_packets);
   });
 }
 

@@ -53,6 +53,10 @@ struct ShortFlowExperimentResult {
   /// Packets lost to injected faults across all links over the whole run.
   std::uint64_t fault_drops{0};
 
+  /// Largest backlog any arrival found at the bottleneck over the whole run
+  /// (DumbbellRun::peak_backlog_packets).
+  std::int64_t peak_backlog_packets{-1};
+
   /// Snapshot + series collected per the config's TelemetryConfig.
   TelemetryResult telemetry;
 };
@@ -64,10 +68,20 @@ struct ShortFlowExperimentResult {
 
 /// Smallest buffer whose AFCT is within `afct_penalty` (e.g. 0.125 = +12.5%)
 /// of the given baseline AFCT (measured with an effectively infinite
-/// buffer). bisect_buffer over fresh runs; throws std::invalid_argument for
-/// a non-positive baseline.
+/// buffer). bisect_buffer over probe runs (detail::run_short_flow_probe); a
+/// probe passes only if some flow completed, and a probe that never
+/// dropped answers for every buffer above its peak backlog. Throws
+/// std::invalid_argument for a non-positive baseline.
 [[nodiscard]] std::int64_t min_buffer_for_afct(ShortFlowExperimentConfig config,
                                                double baseline_afct_sec, double afct_penalty,
                                                std::int64_t lo, std::int64_t hi);
+
+namespace detail {
+/// run_short_flow_experiment without the queue sampler, so mean_queue_packets
+/// and queue_tail stay empty and the telemetry counts fewer events; every
+/// other field is bitwise the same. What a bisection probe runs.
+[[nodiscard]] ShortFlowExperimentResult run_short_flow_probe(
+    const ShortFlowExperimentConfig& config);
+}  // namespace detail
 
 }  // namespace rbs::experiment

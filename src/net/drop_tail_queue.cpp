@@ -1,5 +1,6 @@
 #include "net/drop_tail_queue.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -20,7 +21,9 @@ DropTailQueue::DropTailQueue(std::int64_t limit_packets, core::Bytes limit_bytes
 }
 
 bool DropTailQueue::enqueue(const Packet& p) {
-  if (static_cast<std::int64_t>(fifo_.size()) >= limit_ ||
+  const auto backlog = static_cast<std::int64_t>(fifo_.size());
+  peak_backlog_ = std::max(peak_backlog_, backlog);
+  if (backlog >= limit_ ||
       (!limit_bytes_.is_zero() &&
        core::Bytes{bytes_ + p.size_bytes} > limit_bytes_)) {
     ++stats_.dropped_packets;

@@ -36,6 +36,13 @@ class DropTailQueue final : public Queue {
 
   [[nodiscard]] core::Bytes limit_bytes() const noexcept { return limit_bytes_; }
 
+  /// Largest backlog (packets queued) any arrival has found since
+  /// construction; reset_stats() leaves it alone. Without a byte ceiling
+  /// an arrival is dropped exactly when it finds `limit` packets, so a peak
+  /// below the limit means nothing was ever dropped, and every limit above
+  /// the peak would have made the same decisions.
+  [[nodiscard]] std::int64_t peak_backlog_packets() const noexcept { return peak_backlog_; }
+
   /// Byte-ceiling counterpart of set_limit_packets: negative throws, zero
   /// disables the ceiling, lowering never drops resident packets.
   void set_limit_bytes(core::Bytes limit_bytes);
@@ -52,6 +59,7 @@ class DropTailQueue final : public Queue {
   std::int64_t limit_;
   core::Bytes limit_bytes_;
   std::int64_t bytes_{0};
+  std::int64_t peak_backlog_{0};
   std::deque<Packet> fifo_;
 };
 

@@ -2,8 +2,11 @@
 // the buffer-search helpers. Scaled-down links keep each run fast.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
 #include <limits>
 #include <stdexcept>
+#include <vector>
 
 #include "experiment/dumbbell_run.hpp"
 #include "experiment/long_flow_experiment.hpp"
@@ -155,6 +158,17 @@ TEST(MinBufferForAfct, RespectsPenaltyBudget) {
   EXPECT_LE(at_min.afct_seconds, baseline.afct_seconds * 1.25);  // some noise slack
 }
 
+TEST(MinBufferForAfct, ProbeWithNoCompletedFlowFails) {
+  // 100000-packet flows cannot finish in a 1 s window: no probe has an AFCT,
+  // and the empty mean of 0 must not pass as one.
+  ShortFlowExperimentConfig cfg;
+  cfg.bottleneck_rate = core::BitsPerSec{10e6};
+  cfg.flow_packets = 100000;
+  cfg.warmup = SimTime::zero();
+  cfg.measure = SimTime::seconds(1);
+  EXPECT_EQ(min_buffer_for_afct(cfg, 0.5, 0.1, 2, 500), 500);
+}
+
 MixedFlowExperimentConfig fast_mixed() {
   MixedFlowExperimentConfig cfg;
   cfg.bottleneck_rate = core::BitsPerSec{10e6};
@@ -203,6 +217,114 @@ TEST(BisectBuffer, FindsSmallestPassingBuffer) {
   EXPECT_EQ(bisect_buffer(1, 100, [](std::int64_t b) { return b >= 37; }), 37);
   EXPECT_EQ(bisect_buffer(5, 5, [](std::int64_t) { return true; }), 5);
   EXPECT_EQ(bisect_buffer(1, 100, [](std::int64_t) { return false; }), 100);
+}
+
+// A scripted world whose runs at buffers of 20 and up never fill the queue
+// (peak backlog 19), so each of them reports that it repeats from 20 up.
+// Reuse must follow plain bisection's path and answer with fewer runs,
+// monotone predicate or not.
+TEST(BisectBuffer, DropFreeProbesAnswerLaterProbesWithoutARun) {
+  const std::function<bool(std::int64_t)> predicates[] = {
+      [](std::int64_t b) { return b >= 20; },
+      [](std::int64_t b) { return b >= 20 || b % 4 == 0; },
+  };
+  for (const auto& pass : predicates) {
+    std::vector<std::int64_t> plain_path;
+    const auto plain = bisect_buffer(1, 1000, [&](std::int64_t b) {
+      plain_path.push_back(b);
+      return pass(b);
+    });
+    std::vector<std::int64_t> runs;
+    const auto reused = bisect_buffer(1, 1000, [&](std::int64_t b) -> BufferProbe {
+      runs.push_back(b);
+      if (b >= 20) return {pass(b), 20};
+      return pass(b);
+    });
+    EXPECT_EQ(reused, plain);
+    EXPECT_LT(runs.size(), plain_path.size());
+    // Every run is one plain bisection made, in the same order.
+    auto next = plain_path.begin();
+    for (const std::int64_t b : runs) {
+      next = std::find(next, plain_path.end(), b);
+      ASSERT_NE(next, plain_path.end()) << "run at " << b << " is off the plain path";
+    }
+  }
+  // A bare verdict is never reused.
+  int calls = 0;
+  EXPECT_EQ(bisect_buffer(1, 100, [&](std::int64_t b) {
+              ++calls;
+              return b >= 37;
+            }),
+            37);
+  EXPECT_EQ(calls, 8);
+}
+
+// The reuse rule on real runs: a short-flow run that never dropped repeats
+// bit for bit at any buffer above its peak backlog, and at the peak itself
+// the arrival that found the queue full is dropped. Also with faults: a
+// link-down flush and a loss burst act upstream of the drop decision.
+TEST(DropFreeReuse, RunRepeatsBitwiseAboveItsPeakBacklog) {
+  auto faulted = fast_short();
+  faulted.faults.link_down("bottleneck_fwd", SimTime::seconds(6), SimTime::milliseconds(200));
+  faulted.faults.loss_burst("bottleneck_fwd", SimTime::seconds(9), SimTime::milliseconds(500),
+                            0.2);
+  for (auto cfg : {fast_short(), faulted}) {
+    SCOPED_TRACE(cfg.faults.empty() ? "no faults" : "faults");
+    const std::int64_t big = cfg.buffer_packets;
+    const auto base = run_short_flow_experiment(cfg);
+    const std::int64_t peak = base.peak_backlog_packets;
+    ASSERT_GE(peak, 1);
+    ASSERT_LT(peak, big) << "the base run must be drop-free";
+    for (const std::int64_t buffer : {peak + 1, 2 * big}) {
+      SCOPED_TRACE(buffer);
+      cfg.buffer_packets = buffer;
+      const auto again = run_short_flow_experiment(cfg);
+      EXPECT_EQ(again.afct_seconds, base.afct_seconds);
+      EXPECT_EQ(again.flows_completed, base.flows_completed);
+      EXPECT_EQ(again.utilization, base.utilization);
+      EXPECT_EQ(again.drop_probability, base.drop_probability);
+      EXPECT_EQ(again.fault_drops, base.fault_drops);
+      EXPECT_EQ(again.peak_backlog_packets, peak);
+    }
+    cfg.buffer_packets = peak;
+    EXPECT_EQ(run_short_flow_experiment(cfg).peak_backlog_packets, peak)
+        << "an arrival must find the queue full, and be dropped";
+  }
+}
+
+// A probe leaves out only the queue sampler; every verdict input is bitwise
+// the run's own.
+TEST(DropFreeReuse, ProbeWithoutQueueSamplerMatchesTheFullRun) {
+  auto short_cfg = fast_short();
+  short_cfg.buffer_packets = 20;  // drops, so the sampler-free run is no trivial case
+  short_cfg.checked = true;
+  const auto full = run_short_flow_experiment(short_cfg);
+  const auto probe = detail::run_short_flow_probe(short_cfg);
+  EXPECT_GT(full.drop_probability, 0.0);
+  EXPECT_EQ(probe.afct_seconds, full.afct_seconds);
+  EXPECT_EQ(probe.flows_completed, full.flows_completed);
+  EXPECT_EQ(probe.utilization, full.utilization);
+  EXPECT_EQ(probe.drop_probability, full.drop_probability);
+  EXPECT_EQ(probe.peak_backlog_packets, full.peak_backlog_packets);
+  EXPECT_TRUE(probe.queue_tail.empty());
+
+  const auto long_cfg = fast_long(10, 30);
+  const auto long_full = run_long_flow_experiment(long_cfg);
+  const auto long_probe = detail::run_long_flow_probe(long_cfg);
+  EXPECT_EQ(long_probe.utilization, long_full.utilization);
+  EXPECT_EQ(long_probe.loss_rate, long_full.loss_rate);
+  EXPECT_EQ(long_probe.bottleneck_drops, long_full.bottleneck_drops);
+  EXPECT_EQ(long_probe.tcp_stats.data_packets_sent, long_full.tcp_stats.data_packets_sent);
+  EXPECT_EQ(long_probe.peak_backlog_packets, long_full.peak_backlog_packets);
+}
+
+TEST(DropFreeReuse, PeakBacklogIsOnlyReportedForDropTail) {
+  auto cfg = fast_long(10, 30);
+  cfg.discipline = net::QueueDiscipline::kRed;
+  EXPECT_EQ(run_long_flow_experiment(cfg).peak_backlog_packets, -1);
+  EXPECT_EQ(drop_free_probe(true, 30, -1).reproduced_from, BufferProbe::kOwnBufferOnly);
+  EXPECT_EQ(drop_free_probe(true, 30, 30).reproduced_from, BufferProbe::kOwnBufferOnly);
+  EXPECT_EQ(drop_free_probe(false, 30, 12).reproduced_from, 13);
 }
 
 TEST(TcpSourceStats, SumAndDeltaAreFieldwise) {

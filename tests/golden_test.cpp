@@ -372,6 +372,40 @@ TEST(GoldenPin, ShortFlowEarlyExit) {
   }
 }
 
+// --- Bisection answers ----------------------------------------------------
+//
+// Min-buffer searches on two small configs, with the answers computed before
+// bisect_buffer reused drop-free probes and probes left out the queue
+// sampler. Reuse must never change an answer.
+
+TEST(Golden, AfctBisectionAnswer) {
+  experiment::ShortFlowExperimentConfig cfg;
+  cfg.bottleneck_rate = core::BitsPerSec{20e6};
+  cfg.load = 0.7;
+  cfg.flow_packets = 30;
+  cfg.num_leaves = 20;
+  cfg.warmup = SimTime::seconds(1);
+  cfg.measure = SimTime::seconds(4);
+  cfg.seed = 3;
+  cfg.buffer_packets = 400;
+  const auto baseline = run_short_flow_experiment(cfg);
+  EXPECT_EQ(baseline.afct_seconds, 0x1.30f701aaba5bfp-2);
+  // The bracket's top probe never drops, so the search reuses it.
+  cfg.buffer_packets = 256;
+  EXPECT_LT(experiment::detail::run_short_flow_probe(cfg).peak_backlog_packets, 256);
+  EXPECT_EQ(experiment::min_buffer_for_afct(cfg, baseline.afct_seconds, 0.125, 2, 256), 59);
+}
+
+TEST(Golden, UtilizationBisectionAnswer) {
+  experiment::LongFlowExperimentConfig cfg;
+  cfg.num_flows = 10;
+  cfg.bottleneck_rate = core::BitsPerSec{10e6};
+  cfg.warmup = SimTime::seconds(2);
+  cfg.measure = SimTime::seconds(4);
+  cfg.seed = 4;
+  EXPECT_EQ(experiment::min_buffer_for_utilization(cfg, 0.95, 2, 128), 45);
+}
+
 TEST(Golden, ShortFlowModelBufferIs162) {
   // The analytic anchor: load 0.8, 62-packet flows, P = 0.025.
   const auto m = core::burst_moments_for_flow(62);
