@@ -39,7 +39,9 @@
 //   delack      0|1 delayed ACKs              [0]
 //   seed        RNG seed                      [1]
 //   flows, threads, seed and flow_len take plain base-10 integers; any other
-//               value (1e12, 0.5, nan, -1 for threads/seed) exits 2
+//               value (1e12, 0.5, nan, -1 for threads/seed) exits 2. Every
+//               other numeric key takes a finite number (abc, nan, inf and
+//               yes exit 2)
 //   paranoia    0|1 run the invariant auditor (also --paranoia): every 50k
 //               events every registered subsystem re-verifies its internal
 //               state (queue conservation, heap order, TCP sequence bounds)
@@ -77,9 +79,7 @@
 //                         exception, dump recent trace events, a metrics
 //                         snapshot, and live queue/scheduler state as
 //                         deterministic JSON to PATH (single-point runs)
-#include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -94,6 +94,7 @@
 #include "core/recommendation.hpp"
 #include "core/sizing_rules.hpp"
 #include "experiment/cca_matrix.hpp"
+#include "experiment/cli.hpp"
 #include "experiment/long_flow_experiment.hpp"
 #include "experiment/mixed_flow_experiment.hpp"
 #include "experiment/reporting.hpp"
@@ -132,18 +133,16 @@ bool load_config_file(const std::string& path, KeyValues& out) {
   return true;
 }
 
+/// Number key; a value that is not wholly a finite number throws, which
+/// rbsim reports as one diagnostic line and exit code 2.
 double get_num(const KeyValues& kv, const std::string& key, double fallback) {
   const auto it = kv.find(key);
-  return it == kv.end() ? fallback : std::atof(it->second.c_str());
-}
-
-/// Strict base-10 integer parse: the whole of `text` must be an integer that
-/// fits a long long ("1e12", "0.5" and "nan" are rejected).
-bool parse_int(const std::string& text, long long& out) {
-  char* end = nullptr;
-  errno = 0;
-  out = std::strtoll(text.c_str(), &end, 10);
-  return end != text.c_str() && *end == '\0' && errno != ERANGE;
+  if (it == kv.end()) return fallback;
+  double v = 0.0;
+  if (!rbs::experiment::parse_double(it->second, v)) {
+    throw std::invalid_argument("bad " + key + " '" + it->second + "' (want a finite number)");
+  }
+  return v;
 }
 
 /// Integer key in [lo, hi]; any other value throws, which rbsim reports as
@@ -153,7 +152,7 @@ long long get_int(const KeyValues& kv, const std::string& key, long long fallbac
   const auto it = kv.find(key);
   if (it == kv.end()) return fallback;
   long long v = 0;
-  if (!parse_int(it->second, v)) {
+  if (!rbs::experiment::parse_int(it->second, v)) {
     throw std::invalid_argument("bad " + key + " '" + it->second + "' (want an integer)");
   }
   if (v < lo || v > hi) {
@@ -273,7 +272,7 @@ int run_rbsim(int argc, char** argv) {
         buffers.push_back(bdp);
       } else {
         long long v = 0;
-        if (!parse_int(item, v) || v <= 0) {
+        if (!experiment::parse_int(item, v) || v <= 0) {
           std::fprintf(stderr, "rbsim: bad buffer entry '%s' (want a positive packet count, "
                                "'auto', or 'bdp')\n", item.c_str());
           return 2;

@@ -1,6 +1,6 @@
 """rbs-analyze: simulator-semantics static analysis for the rbs codebase.
 
-An AST-grounded analyzer with simulator-specific rules, and the repo's one
+A token-stream analyzer with simulator-specific rules, and the repo's one
 determinism checker:
 
   R1  nondeterminism sources (random_device, rand, std engines and
@@ -37,23 +37,16 @@ determinism checker:
 R6–R8 consume a cross-TU symbol index (symbols.py) of per-class member
 concurrency classifications, built over every analyzed file.
 
-Two interchangeable backends produce the same findings model:
-
-  * ``clang``   — libclang Python bindings over compile_commands.json,
-                  used automatically when ``import clang.cindex`` works.
-                  R6–R8 are delegated to the shared token engine even here:
-                  libclang does not surface the GNU thread-safety
-                  attributes the classifications hinge on, and the
-                  delegation guarantees backend-identical findings.
-  * ``textual`` — a self-contained C++ lexer; no dependencies beyond the
-                  standard library, so the analyzer runs in any container.
+Every rule runs over the token stream of a small self-contained C++ lexer
+(lexer.py), so the analyzer needs nothing beyond the Python standard
+library and runs in any container.
 
 Findings are governed by a checked-in baseline (baseline.json) with a
 ratchet: per-(rule, file) counts may only go down. See
 docs/static_analysis.md for the workflow and suppression syntax.
 """
 
-__version__ = "1.2"
+__version__ = "1.3"
 
 RULES = ("R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9",
          "R10", "R11", "R12")

@@ -21,9 +21,6 @@ def main(argv=None) -> int:
     )
     ap.add_argument("--repo", type=Path, default=None,
                     help="repository root (default: auto-detect from this file)")
-    ap.add_argument("--compdb", type=Path, default=None,
-                    help="compile_commands.json (default: <repo>/build/compile_commands.json)")
-    ap.add_argument("--backend", choices=("auto", "clang", "textual"), default="auto")
     ap.add_argument("--rules", default=",".join(RULES),
                     help="comma-separated subset of rules to run")
     ap.add_argument("--files", nargs="*", type=Path, default=None,
@@ -42,10 +39,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     repo = (args.repo or Path(__file__).resolve().parents[2]).resolve()
-    compdb = args.compdb
-    if compdb is None:
-        cand = repo / "build" / "compile_commands.json"
-        compdb = cand if cand.exists() else None
 
     rules = [r.strip().upper() for r in args.rules.split(",") if r.strip()]
     bad = [r for r in rules if r not in RULES]
@@ -57,18 +50,13 @@ def main(argv=None) -> int:
     if args.files is not None:
         files = [f if f.is_absolute() else (Path.cwd() / f) for f in args.files]
 
-    try:
-        backend_name, findings = run(repo, files, args.backend, rules, compdb)
-    except RuntimeError as e:
-        print(f"rbs-analyze: {e}", file=sys.stderr)
-        return 2
+    findings = run(repo, files, rules)
 
     if args.json:
         args.json.parent.mkdir(parents=True, exist_ok=True)
         args.json.write_text(json.dumps(
             {
                 "version": __version__,
-                "backend": backend_name,
                 "rules": {r: RULE_TITLES[r] for r in rules},
                 "findings": [f.as_dict() for f in findings],
             },
@@ -101,14 +89,14 @@ def main(argv=None) -> int:
             )
             return 1
         baseline_mod.save(baseline_path, new_counts)
-        print(f"rbs-analyze[{backend_name}]: baseline updated: "
+        print("rbs-analyze: baseline updated: "
               f"{new_total} accepted finding(s) at {baseline_path}")
         return 0
 
     if args.no_baseline:
         n = len(errors)
         extra = f" + {info_count} informational" if info_count else ""
-        print(f"rbs-analyze[{backend_name}]: {n} finding(s){extra}, no baseline")
+        print(f"rbs-analyze: {n} finding(s){extra}, no baseline")
         return 1 if n else 0
 
     base = baseline_mod.load(baseline_path)
@@ -116,13 +104,12 @@ def main(argv=None) -> int:
     for line in improvements:
         print(f"rbs-analyze: improved: {line}")
     if regressions:
-        print(f"rbs-analyze[{backend_name}]: FAIL — new findings above baseline:",
-              file=sys.stderr)
+        print("rbs-analyze: FAIL — new findings above baseline:", file=sys.stderr)
         for line in regressions:
             print(f"  {line}", file=sys.stderr)
         return 1
     extra = f" + {info_count} informational" if info_count else ""
-    print(f"rbs-analyze[{backend_name}]: clean — {len(errors)} finding(s){extra}, "
+    print(f"rbs-analyze: clean — {len(errors)} finding(s){extra}, "
           f"all within baseline ({baseline_mod.total(base)} accepted)")
     return 0
 

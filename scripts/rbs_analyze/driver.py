@@ -1,40 +1,25 @@
-"""File discovery, backend selection, and the top-level analyze() entry."""
+"""File discovery and the top-level run() entry."""
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from . import RULES
-from .findings import Finding
+from .findings import Finding, apply_suppressions, collect_suppressions
+from .lexer import tokenize
+from .rules import ALL_RULES, build_context
 
+# tests/ is out of scope by default: test bodies legitimately capture locals
+# in scheduled lambdas (they run the simulation before the scope exits) and
+# seed Rngs directly. The fixture runner analyzes tests/analyzer_fixtures
+# explicitly via --files.
 DEFAULT_ROOTS = ("src", "examples", "bench")
 SOURCE_SUFFIXES = (".cpp", ".cc", ".hpp", ".h")
 
 
-def discover_files(repo: Path, compdb: Optional[Path]) -> List[Path]:
-    """Union of the compilation database's in-repo TUs and every header /
-    source under the default roots (headers do not appear in a compdb but
-    carry most R3 surface)."""
+def discover_files(repo: Path) -> List[Path]:
+    """Every header and source under the default roots."""
     files = set()
-    if compdb is not None and compdb.exists():
-        for entry in json.loads(compdb.read_text()):
-            p = Path(entry["file"])
-            if not p.is_absolute():
-                p = Path(entry["directory"]) / p
-            try:
-                p = p.resolve()
-                rel = p.relative_to(repo.resolve())
-            except (ValueError, OSError):
-                continue
-            # tests/ is out of scope by default: test bodies legitimately
-            # capture locals in scheduled lambdas (they run the simulation
-            # before the scope exits) and seed Rngs directly. The fixture
-            # runner analyzes tests/analyzer_fixtures explicitly via --files.
-            if rel.parts and rel.parts[0] == "tests":
-                continue
-            if p.suffix in SOURCE_SUFFIXES and p.exists():
-                files.add(p)
     for root in DEFAULT_ROOTS:
         base = repo / root
         if base.is_dir():
@@ -44,40 +29,31 @@ def discover_files(repo: Path, compdb: Optional[Path]) -> List[Path]:
     return sorted(p for p in files if "CMakeFiles" not in p.parts)
 
 
-def pick_backend(requested: str):
-    from . import backend_textual
-
-    if requested == "textual":
-        return backend_textual
-    from . import backend_clang
-
-    if requested == "clang":
-        if not backend_clang.available():
-            raise RuntimeError(
-                "backend 'clang' requested but `import clang.cindex` failed; "
-                "install the libclang Python bindings (python3-clang) or use "
-                "--backend textual"
-            )
-        return backend_clang
-    # auto: prefer the AST when the bindings exist.
-    return backend_clang if backend_clang.available() else backend_textual
-
-
 def run(
     repo: Path,
-    files: Optional[List[Path]],
-    backend_name: str,
-    rules: Optional[List[str]],
-    compdb: Optional[Path],
-) -> tuple[str, List[Finding]]:
-    backend = pick_backend(backend_name)
+    files: Optional[List[Path]] = None,
+    rules: Optional[List[str]] = None,
+) -> List[Finding]:
     rules = list(rules or RULES)
     if files is None:
-        files = discover_files(repo, compdb)
-    if backend.NAME == "clang":
-        findings = backend.analyze(
-            repo, files, rules, compdb_dir=compdb.parent if compdb else None
-        )
-    else:
-        findings = backend.analyze(repo, files, rules)
-    return backend.NAME, findings
+        files = discover_files(repo)
+
+    texts: Dict[str, str] = {}
+    tokens = {}
+    for f in files:
+        rel = f.relative_to(repo).as_posix() if f.is_absolute() else f.as_posix()
+        try:
+            text = (repo / rel).read_text(errors="replace")
+        except OSError:
+            continue
+        texts[rel] = text
+        tokens[rel] = tokenize(text)
+
+    ctx = build_context(tokens, repo)
+    findings: List[Finding] = []
+    for rel, toks in tokens.items():
+        for rule in rules:
+            findings.extend(ALL_RULES[rule](rel, toks, ctx))
+
+    suppressions = {rel: collect_suppressions(text) for rel, text in texts.items()}
+    return sorted(apply_suppressions(findings, suppressions))

@@ -1,4 +1,4 @@
-"""Finding model and suppression handling shared by every backend."""
+"""Finding model and suppression handling."""
 from __future__ import annotations
 
 import dataclasses

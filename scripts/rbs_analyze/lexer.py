@@ -1,4 +1,4 @@
-"""A small C++ lexer for the textual backend.
+"""A small C++ lexer: the token stream every rule runs over.
 
 Produces a flat token stream with line numbers, with comments and string
 literals stripped (their contents can never trigger a rule), preprocessor

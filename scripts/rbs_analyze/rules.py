@@ -76,7 +76,7 @@ UNORDERED_CONTAINERS = {
 SCHEDULER_CALLS = {"schedule_at", "schedule_after", "at", "after"}
 
 # Entry points that run the passed lambda concurrently on sweep workers.
-PARALLEL_CALLS = {"run_indexed", "map", "parallel_sweep", "set_observer"}
+PARALLEL_CALLS = {"run_indexed", "map", "set_observer"}
 
 # Member calls that mutate a standard container.
 CONTAINER_MUTATORS = {
@@ -638,8 +638,7 @@ def _shared_write_targets(body: List[Token]) -> List[Tuple[Token, bool]]:
 
 def _parallel_call_lambdas(tokens: List[Token]):
     """Yields (call_name, capture_open_index) for every lambda argument of a
-    parallel-dispatch call (run_indexed / map / parallel_sweep /
-    set_observer)."""
+    parallel-dispatch call (run_indexed / map / set_observer)."""
     for i, t in enumerate(tokens):
         if t.kind != "ident" or t.text not in PARALLEL_CALLS:
             continue
@@ -1137,14 +1136,4 @@ ALL_RULES = {
     "R10": rule_r10,
     "R11": rule_r11,
     "R12": rule_r12,
-}
-
-# Token-stream prongs of R1, R2 and R4. The clang backend runs them on the
-# token engine next to its AST visitors for the rest of those rules, so both
-# backends report them identically (digit separators and empty braces do not
-# survive into the AST at all).
-TOKEN_PRONGS = {
-    "R1": (r1_std_random, r1_raw_time),
-    "R2": (r2_unordered_decl,),
-    "R4": (r4_empty_brace,),
 }

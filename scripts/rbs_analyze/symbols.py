@@ -18,11 +18,6 @@ that carries a mutex, a condition variable, or worker threads is shared
 between threads by construction, so every mutable member needs one of the
 sanctioned classifications.
 
-Both backends consume the same index (the clang backend delegates R6-R8 to
-the shared token engine — libclang does not surface the GNU thread-safety
-attributes the classifications hinge on), so the finding model is identical
-by construction.
-
 This is a declaration-shaped heuristic, not a C++ front end: function
 bodies are discarded, nested classes are indexed as their own entries, and
 inheritance is not followed (a derived class is classified by the members

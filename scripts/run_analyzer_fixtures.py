@@ -14,7 +14,7 @@ produced rule multiset per file matches the expectation exactly.
 Also asserts corpus completeness: every rule id must appear in at least
 one failing fixture and one clean twin.
 
-Usage: python3 scripts/run_analyzer_fixtures.py [--backend textual|clang|auto]
+Usage: python3 scripts/run_analyzer_fixtures.py [--fixtures DIR]
 Exit 0 on success, 1 on mismatch.
 """
 from __future__ import annotations
@@ -35,8 +35,6 @@ EXPECT_RE = re.compile(r"//\s*rbs-analyze-fixture-expect:\s*((?:R\d+\s*)*)$")
 
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--backend", default="textual",
-                    choices=("textual", "clang", "auto"))
     ap.add_argument("--fixtures", type=Path,
                     default=Path(__file__).resolve().parents[1]
                     / "tests" / "analyzer_fixtures")
@@ -61,10 +59,7 @@ def main() -> int:
         rel = f.relative_to(fixture_root).as_posix()
         expectations[rel] = Counter(m.group(1).split())
 
-    backend_name, findings = run(
-        repo=fixture_root, files=files, backend_name=args.backend,
-        rules=list(RULES), compdb=None,
-    )
+    findings = run(repo=fixture_root, files=files)
 
     produced: dict = {rel: Counter() for rel in expectations}
     for finding in findings:
@@ -102,11 +97,11 @@ def main() -> int:
             )
 
     if failures:
-        print(f"fixture harness[{backend_name}]: FAIL", file=sys.stderr)
+        print("fixture harness: FAIL", file=sys.stderr)
         for f in failures:
             print(f"  {f}", file=sys.stderr)
         return 1
-    print(f"fixture harness[{backend_name}]: {len(expectations)} fixtures OK, "
+    print(f"fixture harness: {len(expectations)} fixtures OK, "
           f"all {len(RULES)} rules exercised failing and clean")
     return 0
 

@@ -3,30 +3,12 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "check/mc/types.hpp"
-
 namespace rbs::check {
-namespace {
 
-void default_handler(const char* file, int line, const char* condition, const char* message) {
+void invariant_failed(const char* file, int line, const char* condition, const char* message) {
   std::fprintf(stderr, "RBS_INVARIANT failed at %s:%d: %s\n  %s\n", file, line, condition,
                message);
   std::abort();
-}
-
-// Atomic so checked code running on the sweep worker pool can report
-// concurrently with a test swapping handlers on the main thread.
-mc::Atomic<InvariantHandler> g_handler{&default_handler};
-
-}  // namespace
-
-InvariantHandler set_invariant_handler(InvariantHandler handler) noexcept {
-  if (handler == nullptr) handler = &default_handler;
-  return g_handler.exchange(handler, std::memory_order_acq_rel);
-}
-
-void invariant_failed(const char* file, int line, const char* condition, const char* message) {
-  g_handler.load(std::memory_order_acquire)(file, line, condition, message);
 }
 
 }  // namespace rbs::check

@@ -5,36 +5,19 @@
 // clock monotonicity. In a normal build the macro evaluates nothing (the
 // condition is only named inside an unevaluated sizeof, so variables used
 // solely in checks do not warn); configured with -DRBS_CHECKED=ON every
-// violated condition calls the invariant handler, which by default prints
-// the failing condition and aborts. Tests install their own handler to turn
-// violations into recorded failures instead of process death.
+// violated condition prints the failing condition and aborts.
 //
-// RBS_AUDIT(stmt) executes a statement only in checked builds — used to run
-// small audit snippets (e.g. a conservation recount) at call sites that are
-// too hot to pay for otherwise.
-//
-// These macros are the *enforcement* half of the correctness tooling; the
+// This macro is the *enforcement* half of the correctness tooling; the
 // cold-path, always-compiled half (the InvariantAuditor and per-subsystem
 // audit() methods) lives in check/auditor.hpp.
 #pragma once
 
 namespace rbs::check {
 
-/// Called when a checked invariant fails. Receives the source location, the
-/// stringified condition, and the message passed to RBS_INVARIANT.
-using InvariantHandler = void (*)(const char* file, int line, const char* condition,
-                                  const char* message);
-
-/// Replaces the process-wide invariant handler and returns the previous one.
-/// Passing nullptr restores the default (print to stderr and abort). The
-/// handler is process-global: parallel sweeps share it, so test handlers
-/// must be thread-safe if checked code runs on the worker pool.
-InvariantHandler set_invariant_handler(InvariantHandler handler) noexcept;
-
-/// Reports a failed invariant through the installed handler. Never returns
-/// when the default handler is installed.
-void invariant_failed(const char* file, int line, const char* condition,
-                      const char* message);
+/// Prints the source location, the stringified condition and the message
+/// passed to RBS_INVARIANT to stderr, then aborts.
+[[noreturn]] void invariant_failed(const char* file, int line, const char* condition,
+                                   const char* message);
 
 }  // namespace rbs::check
 
@@ -45,18 +28,11 @@ void invariant_failed(const char* file, int line, const char* condition,
       ::rbs::check::invariant_failed(__FILE__, __LINE__, #cond, (msg));     \
     }                                                                       \
   } while (false)
-#define RBS_AUDIT(stmt) \
-  do {                  \
-    stmt;               \
-  } while (false)
 #else
 // The condition is named but never evaluated, so checked-only variables do
 // not trigger -Wunused warnings in unchecked builds.
 #define RBS_INVARIANT(cond, msg) \
   do {                           \
     (void)sizeof((cond) ? 1 : 0); \
-  } while (false)
-#define RBS_AUDIT(stmt) \
-  do {                  \
   } while (false)
 #endif

@@ -12,9 +12,13 @@ namespace {
 // The run's end time, which also bounds the schedule horizon: nothing is
 // ever scheduled past warmup + measure, so backend=auto can resolve from it.
 // A zero-length run is allowed: it builds the world and tears it down.
-sim::SimTime checked_run_end(const net::DumbbellConfig& topo, sim::SimTime warmup,
-                             sim::SimTime measure) {
+// A sample interval of zero would reschedule the samplers at the same
+// instant forever.
+sim::SimTime checked_run_end(const RunControls& controls, const net::DumbbellConfig& topo,
+                             sim::SimTime warmup, sim::SimTime measure) {
   require(topo.num_leaves >= 1, "dumbbell run: need at least one leaf");
+  require(controls.telemetry.sample_interval > sim::SimTime::zero(),
+          "dumbbell run: telemetry sample interval must be > 0");
   require(warmup >= sim::SimTime::zero(), "dumbbell run: warm-up must be >= 0");
   require(measure >= sim::SimTime::zero(), "dumbbell run: measurement window must be >= 0");
   return warmup + measure;
@@ -25,7 +29,7 @@ sim::SimTime checked_run_end(const net::DumbbellConfig& topo, sim::SimTime warmu
 DumbbellRun::DumbbellRun(const RunControls& controls, const net::DumbbellConfig& topo_config,
                          sim::SimTime warmup, sim::SimTime measure)
     : sim{controls.seed, controls.scheduler_backend,
-          checked_run_end(topo_config, warmup, measure)},
+          checked_run_end(controls, topo_config, warmup, measure)},
       tele{sim, controls.telemetry},
       topo{sim, topo_config},
       controls_{controls},

@@ -101,9 +101,10 @@ class DumbbellRun {
   /// Registers the runner's own subsystems with the auditor.
   using AuditParts = std::function<void(check::InvariantAuditor&)>;
 
-  /// Throws std::invalid_argument for fewer than one leaf or a negative
-  /// warm-up or measurement window. Zero for both builds the world and
-  /// runs nothing (a set-up timing sample).
+  /// Throws std::invalid_argument for fewer than one leaf, a negative
+  /// warm-up or measurement window, or a telemetry sample interval <= 0.
+  /// Zero for both windows builds the world and runs nothing (a set-up
+  /// timing sample).
   DumbbellRun(const RunControls& controls, const net::DumbbellConfig& topo_config,
               sim::SimTime warmup, sim::SimTime measure);
   DumbbellRun(const DumbbellRun&) = delete;  // samplers capture `this`

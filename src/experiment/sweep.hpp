@@ -88,12 +88,4 @@ class SweepRunner {
   SweepObserver observer_;
 };
 
-/// One-shot convenience: runs point(i) for i in [0, n) on a transient
-/// SweepRunner and returns the results in index order.
-template <typename R, typename F>
-std::vector<R> parallel_sweep(std::size_t n, F&& point, int threads = 0) {
-  SweepRunner runner{threads};
-  return runner.map<R>(n, std::forward<F>(point));
-}
-
 }  // namespace rbs::experiment

@@ -94,13 +94,6 @@ std::unique_ptr<Queue> Dumbbell::make_bottleneck_queue() {
   return std::make_unique<DropTailQueue>(config_.buffer_packets);
 }
 
-Link* Dumbbell::find_link(const std::string& name) noexcept {
-  for (const auto& link : links_) {
-    if (link->name() == name) return link.get();
-  }
-  return nullptr;
-}
-
 Link& Dumbbell::add_link(std::string name, Link::Config cfg, PacketSink& dst,
                          std::int64_t buffer) {
   links_.push_back(std::make_unique<Link>(sim_, std::move(name), cfg,

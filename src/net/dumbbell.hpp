@@ -92,9 +92,6 @@ class Dumbbell {
     return links_;
   }
 
-  /// Link lookup by name, or nullptr if the topology has no such link.
-  [[nodiscard]] Link* find_link(const std::string& name) noexcept;
-
  private:
   std::unique_ptr<Queue> make_bottleneck_queue();
   Link& add_link(std::string name, Link::Config cfg, PacketSink& dst, std::int64_t buffer);

@@ -28,7 +28,11 @@ Link::Link(sim::Simulation& sim, std::string name, Config config, std::unique_pt
       config_{config},
       queue_{std::move(queue)},
       downstream_{downstream} {
-  assert(config_.rate.bps() > 0);
+  // A zero, negative or non-finite rate makes every serialization time
+  // zero or meaningless, so a run would spin at one instant forever.
+  if (!(std::isfinite(config_.rate.bps()) && config_.rate.bps() > 0.0)) {
+    throw std::invalid_argument("link '" + name_ + "': rate must be positive and finite");
+  }
   assert(queue_ != nullptr);
 }
 

@@ -52,7 +52,8 @@ class Link final : public PacketSink {
 
   /// `queue` buffers packets while the link is busy; `downstream` receives
   /// them after serialization + propagation. `downstream` must outlive the
-  /// link.
+  /// link. Throws std::invalid_argument unless the rate is positive and
+  /// finite.
   Link(sim::Simulation& sim, std::string name, Config config, std::unique_ptr<Queue> queue,
        PacketSink& downstream);
 

@@ -83,7 +83,7 @@ class Simulation {
   /// the auditor re-verifies all registered subsystems (plus clock
   /// monotonicity). The scheduler itself is registered here; callers add
   /// their queues, TCP endpoints, and workloads. The auditor must outlive
-  /// this Simulation or be detached with disable_auditing().
+  /// this Simulation.
   void enable_auditing(check::InvariantAuditor& auditor,
                        std::uint64_t every_n_events = 50'000) {
     auditor.add("scheduler", scheduler_);
@@ -104,8 +104,6 @@ class Simulation {
       auditor.audit_now();
     });
   }
-
-  void disable_auditing() { scheduler_.set_audit_hook(0, nullptr); }
 
  private:
   Scheduler scheduler_;

@@ -366,6 +366,24 @@ TEST(HostileInputs, ZeroLengthRunBuildsTheWorldOnly) {
   EXPECT_GT(r.mean_rtt_sec, 0.0);
 }
 
+// A rate that is zero or not a number makes serialization times
+// meaningless, and a sample interval of zero or less would reschedule the
+// samplers at one instant forever; each is rejected before the run starts.
+TEST(HostileInputs, RateAndSampleIntervalMustBePositive) {
+  auto zero_rate = fast_long(2, 10);
+  zero_rate.bottleneck_rate = core::BitsPerSec::zero();
+  EXPECT_THROW((void)run_long_flow_experiment(zero_rate), std::invalid_argument);
+  auto nan_rate = fast_long(2, 10);
+  nan_rate.bottleneck_rate = core::BitsPerSec{std::numeric_limits<double>::quiet_NaN()};
+  EXPECT_THROW((void)run_long_flow_experiment(nan_rate), std::invalid_argument);
+  auto zero_interval = fast_long(2, 10);
+  zero_interval.telemetry.sample_interval = SimTime::zero();
+  EXPECT_THROW((void)run_long_flow_experiment(zero_interval), std::invalid_argument);
+  auto negative_interval = fast_short();
+  negative_interval.telemetry.sample_interval = SimTime::milliseconds(-100);
+  EXPECT_THROW((void)run_short_flow_experiment(negative_interval), std::invalid_argument);
+}
+
 TEST(HostileInputs, BisectionBracketThrows) {
   const auto ok = [](std::int64_t) { return true; };
   EXPECT_THROW((void)bisect_buffer(0, 10, ok), std::invalid_argument);

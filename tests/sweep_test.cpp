@@ -152,7 +152,7 @@ TEST(SweepRunner, ParallelShortFlowSweepIsBitwiseIdenticalToSerial) {
 
   std::vector<ShortFlowExperimentResult> serial;
   for (std::size_t i = 0; i < buffers.size(); ++i) serial.push_back(run_point(i));
-  const auto parallel = parallel_sweep<ShortFlowExperimentResult>(buffers.size(), run_point, 2);
+  const auto parallel = SweepRunner{2}.map<ShortFlowExperimentResult>(buffers.size(), run_point);
 
   ASSERT_EQ(parallel.size(), serial.size());
   for (std::size_t i = 0; i < serial.size(); ++i) {
