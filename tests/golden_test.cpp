@@ -13,11 +13,18 @@
 #include <string>
 #include <vector>
 
+#include "check/auditor.hpp"
 #include "core/short_flow_model.hpp"
 #include "experiment/long_flow_experiment.hpp"
 #include "experiment/mixed_flow_experiment.hpp"
 #include "experiment/scenarios.hpp"
 #include "experiment/short_flow_experiment.hpp"
+#include "net/dumbbell.hpp"
+#include "sim/simulation.hpp"
+#include "stats/fct_tracker.hpp"
+#include "traffic/flow_size.hpp"
+#include "traffic/session_workload.hpp"
+#include "traffic/trace_workload.hpp"
 
 namespace rbs {
 namespace {
@@ -326,6 +333,115 @@ TEST(GoldenPin, MixedFlowFullSurface) {
     EXPECT_EQ(r.fault_drops, 434u);
     expect_surface(r.telemetry,
                    {8830675566079810873ull, 12086126401124531532ull, 12435606312255177659ull});
+  }
+}
+
+TEST(GoldenPin, MixedFlowNoLongFlows) {
+  // Short flows (and UDP) alone on the mixed runner: the long-flow share
+  // is empty, so its stagger stream and flow ids must not be touched.
+  for (const auto backend : kBothBackends) {
+    SCOPED_TRACE(static_cast<int>(backend));
+    experiment::MixedFlowExperimentConfig cfg;
+    cfg.bottleneck_rate = core::BitsPerSec{20e6};
+    cfg.num_long_flows = 0;
+    cfg.num_short_leaves = 8;
+    cfg.buffer_packets = 30;
+    cfg.short_flow_load = 0.6;
+    cfg.short_flow_packets = 25;
+    cfg.udp_load = 0.05;
+    cfg.warmup = SimTime::seconds(2);
+    cfg.measure = SimTime::seconds(4);
+    cfg.seed = 6;
+    arm_full_surface(cfg, backend);
+    const auto r = run_mixed_flow_experiment(cfg);
+    EXPECT_EQ(r.utilization, 0x1.45119ce075f7p-1);
+    EXPECT_EQ(r.afct_seconds, 0x1.f068773f408e4p-2);
+    EXPECT_EQ(r.long_flow_throughput_bps, 0.0);
+    EXPECT_EQ(r.drop_probability, 0x1.afb2e931c9653p-9);
+    EXPECT_EQ(r.mean_queue_packets, 0x1.3b5c28f5c28f5p+2);
+    EXPECT_EQ(r.short_flows_completed, 206u);
+    EXPECT_EQ(r.fault_drops, 252u);
+    expect_surface(r.telemetry,
+                   {2969715211247931511ull, 13917857912206103680ull, 9555513298630531148ull});
+  }
+}
+
+// --- Workload pins -------------------------------------------------------
+//
+// The session and trace workloads outside any experiment runner: exact
+// flow counters plus a hash of every finished flow's (size, start, finish)
+// record in record order, with the invariant auditor on, under both
+// scheduler backends.
+
+/// FNV of every finished flow's (size, start, finish), in record order.
+std::uint64_t fnv1a(const std::vector<stats::FlowRecord>& records) {
+  std::string text;
+  for (const auto& r : records) {
+    text += std::to_string(r.size_packets) + ',' + std::to_string(r.start.ps()) + ',' +
+            std::to_string(r.finish.ps()) + ';';
+  }
+  return fnv1a(text);
+}
+
+net::DumbbellConfig pinned_workload_topo() {
+  net::DumbbellConfig cfg;
+  cfg.num_leaves = 8;
+  cfg.bottleneck_rate = core::BitsPerSec{20e6};
+  cfg.buffer_packets = 30;
+  return cfg;
+}
+
+TEST(GoldenPin, SessionWorkloadSurface) {
+  for (const auto backend : kBothBackends) {
+    SCOPED_TRACE(static_cast<int>(backend));
+    sim::Simulation sim{11, backend};
+    net::Dumbbell topo{sim, pinned_workload_topo()};
+    check::InvariantAuditor auditor;
+    auditor.add("bottleneck.queue", topo.bottleneck().queue());
+    sim.enable_auditing(auditor, 500);
+    traffic::ParetoFlowSize sizes{1.2, 2, 300};
+    traffic::SessionWorkloadConfig cfg;
+    cfg.sessions_per_leaf = 3;
+    cfg.mean_think_time_sec = 0.2;
+    traffic::SessionWorkload wl{sim, topo, sizes, cfg};
+    sim.run_until(SimTime::seconds(6));
+    EXPECT_EQ(wl.transfers_started(), 418u);
+    EXPECT_EQ(wl.transfers_completed(), 409u);
+    EXPECT_EQ(wl.sessions_active(), 9);
+    wl.stop();
+    sim.run_until(SimTime::seconds(7));
+    auditor.audit_now();
+    EXPECT_TRUE(auditor.clean());
+    EXPECT_EQ(wl.transfers_started(), 418u);
+    EXPECT_EQ(wl.transfers_completed(), 418u);
+    EXPECT_EQ(wl.sessions_active(), 0);
+    EXPECT_EQ(wl.completions().count(), 418u);
+    EXPECT_EQ(fnv1a(wl.completions().records()), 10925747386194801152ull);
+  }
+}
+
+TEST(GoldenPin, TraceWorkloadSurface) {
+  std::vector<traffic::TraceRecord> records;
+  for (int i = 0; i < 150; ++i) {
+    records.push_back({0.031 * i + 0.002 * (i % 7), 1 + (i * 37) % 90});
+  }
+  for (const auto backend : kBothBackends) {
+    SCOPED_TRACE(static_cast<int>(backend));
+    sim::Simulation sim{12, backend};
+    net::Dumbbell topo{sim, pinned_workload_topo()};
+    check::InvariantAuditor auditor;
+    auditor.add("bottleneck.queue", topo.bottleneck().queue());
+    traffic::TraceWorkload wl{sim, topo, records, traffic::TraceWorkloadConfig{}};
+    auditor.add("trace_flows", wl);
+    sim.enable_auditing(auditor, 500);
+    sim.run_until(SimTime::seconds(5));
+    auditor.audit_now();
+    EXPECT_TRUE(auditor.clean());
+    EXPECT_EQ(wl.flows_started(), 150u);
+    EXPECT_EQ(wl.flows_completed(), 146u);
+    EXPECT_EQ(wl.flows_active(), 4u);
+    EXPECT_EQ(wl.completions().count(), 146u);
+    EXPECT_EQ(fnv1a(wl.completions().records()), 11581834143712812587ull);
   }
 }
 
