@@ -2,7 +2,8 @@
 // simulation: a Harpoon-style closed-loop session workload (file transfers
 // with think times, heavy-tailed sizes) offered to a router whose interface
 // queue is resized between runs, with an optional event trace of one run
-// for spot-checks — the workflow of the paper's Cisco GSR experiment.
+// for spot-checks — the workflow of the paper's Cisco GSR experiment. The
+// invariant auditor watches the queue and every transfer; a violation exits 1.
 //
 //   $ ./lab_testbed                  # sweep 0.5x/1x/2x/3x of the sqrt rule
 //   $ ./lab_testbed --trace out.json # also trace the 1.0x run (Chrome JSON,
@@ -12,6 +13,7 @@
 #include <cstring>
 #include <memory>
 
+#include "check/auditor.hpp"
 #include "core/sizing_rules.hpp"
 #include "experiment/reporting.hpp"
 #include "net/dumbbell.hpp"
@@ -68,6 +70,11 @@ int main(int argc, char** argv) {
     wl_cfg.sessions_per_leaf = sessions_per_leaf;
     wl_cfg.mean_think_time_sec = 0.3;
     traffic::SessionWorkload workload{sim, topo, sizes, wl_cfg};
+    // Re-verify the queue and every transfer in flight as the run goes.
+    check::InvariantAuditor auditor;
+    auditor.add("bottleneck.queue", topo.bottleneck().queue());
+    auditor.add("sessions", workload);
+    sim.enable_auditing(auditor, 50'000);
 
     sim.run_until(sim::SimTime::seconds(10));  // warm-up
     topo.bottleneck().reset_stats();
@@ -75,6 +82,12 @@ int main(int argc, char** argv) {
     stats::UtilizationMeter meter{sim, topo.bottleneck()};
     meter.begin();
     sim.run_until(sim::SimTime::seconds(40));
+
+    auditor.audit_now();
+    if (!auditor.clean()) {
+      std::fprintf(stderr, "lab_testbed: %s\n", auditor.report().c_str());
+      return 1;
+    }
 
     const auto afct = workload.completions().afct_filtered(measure_start);
     table.add_row(

@@ -62,8 +62,10 @@ class Dumbbell {
   Dumbbell(sim::Simulation& sim, DumbbellConfig config);
 
   [[nodiscard]] int num_leaves() const noexcept { return config_.num_leaves; }
-  [[nodiscard]] Host& sender(int i) noexcept { return *senders_.at(static_cast<std::size_t>(i)); }
-  [[nodiscard]] Host& receiver(int i) noexcept {
+  /// Leaf `i`'s hosts; throws std::out_of_range for a leaf that does not
+  /// exist.
+  [[nodiscard]] Host& sender(int i) { return *senders_.at(static_cast<std::size_t>(i)); }
+  [[nodiscard]] Host& receiver(int i) {
     return *receivers_.at(static_cast<std::size_t>(i));
   }
 

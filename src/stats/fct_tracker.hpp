@@ -1,18 +1,11 @@
 // Flow-completion-time accounting — the paper's §5.1.2/§5.1.3 metric.
 //
-// Two entry points:
-//   - record(size, start, finish): one-shot record of a finished flow
-//     (legacy path; no lifecycle tracking).
-//   - start_flow(id, ...) / finish_flow(id, ...): explicit lifecycle. Open
-//     flows are tracked so unfinished work is visible (a downed link can
-//     strand flows forever), and completions for ids that are not open —
-//     never started, or already finished — are rejected and counted rather
-//     than silently double-recorded.
+// Holds finished flows only. Open flows live in traffic::FlowTable, which
+// appends a record here when it reaps a flow, so records are in reap order.
 #pragma once
 
 #include <cstdint>
 #include <limits>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -36,42 +29,7 @@ struct FlowRecord {
 /// window or to a size range.
 class FctTracker {
  public:
-  void record(std::int64_t size_packets, sim::SimTime start, sim::SimTime finish) {
-    records_.push_back({size_packets, start, finish});
-  }
-
-  /// Registers flow `id` as started. Returns false (and changes nothing)
-  /// if the id is already open.
-  bool start_flow(std::int64_t id, std::int64_t size_packets, sim::SimTime start) {
-    const auto [it, inserted] = open_.emplace(id, FlowRecord{size_packets, start, {}});
-    if (inserted) ++flows_started_;
-    return inserted;
-  }
-
-  /// Completes flow `id`, turning its open entry into a record. Returns
-  /// false if the id is not open (never started, or finished already —
-  /// duplicate completions must not skew AFCT); such attempts are counted
-  /// in duplicate_completions().
-  bool finish_flow(std::int64_t id, sim::SimTime finish) {
-    const auto it = open_.find(id);
-    if (it == open_.end()) {
-      ++duplicate_completions_;
-      return false;
-    }
-    FlowRecord r = it->second;
-    r.finish = finish;
-    records_.push_back(r);
-    open_.erase(it);
-    ++flows_finished_;
-    return true;
-  }
-
-  /// Flows started but not yet finished.
-  [[nodiscard]] std::size_t unfinished() const noexcept { return open_.size(); }
-  /// Rejected finish_flow() calls (unknown or already-finished ids).
-  [[nodiscard]] std::uint64_t duplicate_completions() const noexcept {
-    return duplicate_completions_;
-  }
+  void add(const FlowRecord& record) { records_.push_back(record); }
 
   [[nodiscard]] std::size_t count() const noexcept { return records_.size(); }
   [[nodiscard]] const std::vector<FlowRecord>& records() const noexcept { return records_; }
@@ -93,14 +51,8 @@ class FctTracker {
     return s;
   }
 
-  /// Lifecycle conservation: started == finished + open, and every record
-  /// produced by finish_flow() is non-negative in duration.
+  /// Every record is non-negative in duration.
   void audit(check::AuditReport& report) const {
-    if (flows_started_ != flows_finished_ + open_.size()) {
-      report.violation("fct lifecycle broken: started " + std::to_string(flows_started_) +
-                       " != finished " + std::to_string(flows_finished_) + " + open " +
-                       std::to_string(open_.size()));
-    }
     for (const auto& r : records_) {
       if (r.finish < r.start) {
         report.violation("flow record finishes at " + r.finish.to_string() +
@@ -110,22 +62,8 @@ class FctTracker {
     }
   }
 
-  void clear() {
-    records_.clear();
-    open_.clear();
-    flows_started_ = 0;
-    flows_finished_ = 0;
-    duplicate_completions_ = 0;
-  }
-
  private:
   std::vector<FlowRecord> records_;
-  /// Open flows keyed by id; ordered so audits and any iteration are
-  /// deterministic.
-  std::map<std::int64_t, FlowRecord> open_;
-  std::uint64_t flows_started_{0};
-  std::uint64_t flows_finished_{0};
-  std::uint64_t duplicate_completions_{0};
 };
 
 }  // namespace rbs::stats

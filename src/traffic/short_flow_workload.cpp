@@ -1,11 +1,15 @@
 #include "traffic/short_flow_workload.hpp"
 
-#include <algorithm>
 #include <cassert>
-#include <string>
-#include <vector>
+#include <cmath>
+#include <stdexcept>
 
 namespace rbs::traffic {
+
+namespace {
+constexpr std::uint64_t kRngStream = 0x51F0;
+constexpr net::FlowId kFirstFlowId = 1'000'000;
+}  // namespace
 
 double arrival_rate_for_load(double load, core::BitsPerSec rate, double mean_flow_packets,
                              core::Bytes packet_size) noexcept {
@@ -16,92 +20,32 @@ double arrival_rate_for_load(double load, core::BitsPerSec rate, double mean_flo
 
 ShortFlowWorkload::ShortFlowWorkload(sim::Simulation& sim, net::Dumbbell& topo,
                                      FlowSizeDistribution& sizes,
-                                     ShortFlowWorkloadConfig config)
-    : sim_{sim},
-      topo_{topo},
+                                     const ShortFlowWorkloadConfig& config)
+    : FlowTable{sim, topo, config.tcp, config.sink},
+      sim_{sim},
       sizes_{sizes},
-      config_{config},
-      rng_{sim.rng().fork(config.rng_stream)},
-      next_flow_id_{config.first_flow_id} {
-  assert(config_.arrivals_per_sec > 0);
-  arrival_event_ = sim_.at(
-      config_.start,
-      [this] {
-        launch_flow();
-        schedule_next_arrival();
-      },
-      sim::EventClass::kWorkload);
+      placement_{topo, config.leaves},
+      mean_gap_sec_{1.0 / config.arrivals_per_sec},
+      rng_{sim.rng().fork(kRngStream)} {
+  if (!(config.arrivals_per_sec > 0 && std::isfinite(config.arrivals_per_sec))) {
+    throw std::invalid_argument("short-flow workload: arrivals_per_sec must be positive and "
+                                "finite");
+  }
+  if (placement_.count() == 0) {
+    throw std::invalid_argument("short-flow workload: leaf range holds no leaf");
+  }
+  arrival_event_ = sim_.after(sim::SimTime::zero(), [this] { arrive(); },
+                              sim::EventClass::kWorkload);
 }
 
 ShortFlowWorkload::~ShortFlowWorkload() { stop_arrivals(); }
 
-void ShortFlowWorkload::schedule_next_arrival() {
-  const double gap_sec = rng_.exponential(1.0 / config_.arrivals_per_sec);
-  arrival_event_ = sim_.after(
-      sim::SimTime::from_seconds(gap_sec),
-      [this] {
-        launch_flow();
-        schedule_next_arrival();
-      },
-      sim::EventClass::kWorkload);
-}
-
-void ShortFlowWorkload::launch_flow() {
-  const net::FlowId flow = next_flow_id_++;
-  const int count =
-      config_.leaf_count > 0 ? config_.leaf_count : topo_.num_leaves() - config_.leaf_offset;
-  const int leaf = config_.leaf_offset + next_leaf_;
-  next_leaf_ = (next_leaf_ + 1) % count;
-
-  const std::int64_t length = sizes_.sample(rng_);
-
-  ActiveFlow af;
-  af.sink = std::make_unique<tcp::TcpSink>(sim_, topo_.receiver(leaf), flow, config_.sink);
-  af.source = std::make_unique<tcp::TcpSource>(sim_, topo_.sender(leaf),
-                                               topo_.receiver(leaf).id(), flow, config_.tcp,
-                                               length);
-  af.source->set_completion_callback([this, flow](tcp::TcpSource&) {
-    // Defer teardown: the source is still inside its ACK handler.
-    sim_.after(sim::SimTime::zero(), [this, flow] { reap_flow(flow); },
-               sim::EventClass::kWorkload);
-  });
-  af.source->start(sim_.now());
-  fct_.start_flow(flow, length, sim_.now());
-
-  active_.emplace(flow, std::move(af));
-  ++flows_started_;
-}
-
-void ShortFlowWorkload::reap_flow(net::FlowId flow) {
-  const auto it = active_.find(flow);
-  if (it == active_.end()) return;
-  const auto& src = *it->second.source;
-  fct_.finish_flow(flow, src.finish_time());
-  ++flows_completed_;
-  if (on_flow_complete) on_flow_complete(src);
-  active_.erase(it);
-}
-
-void ShortFlowWorkload::audit(check::AuditReport& report) const {
-  if (flows_started_ != flows_completed_ + active_.size()) {
-    report.violation("flow accounting broken: started " + std::to_string(flows_started_) +
-                     " != completed " + std::to_string(flows_completed_) + " + active " +
-                     std::to_string(active_.size()));
-  }
-  fct_.audit(report);
-  // The tracker's open set and the live-flow table must describe the same
-  // flows: every launched flow opens an FCT entry, every reap closes one.
-  if (fct_.unfinished() != active_.size()) {
-    report.violation("fct tracker holds " + std::to_string(fct_.unfinished()) +
-                     " open flows but the workload has " + std::to_string(active_.size()) +
-                     " active");
-  }
-  // active_ is an ordered map: iteration is already in flow-id order, so
-  // per-flow violations appear identically on every run.
-  for (const auto& [id, af] : active_) {
-    af.source->audit(report);
-    af.sink->audit(report);
-  }
+void ShortFlowWorkload::arrive() {
+  const std::int64_t packets = sizes_.sample(rng_);
+  launch(placement_.leaf(flows_started()),
+         kFirstFlowId + static_cast<net::FlowId>(flows_started()), packets);
+  arrival_event_ = sim_.after(sim::SimTime::from_seconds(rng_.exponential(mean_gap_sec_)),
+                              [this] { arrive(); }, sim::EventClass::kWorkload);
 }
 
 }  // namespace rbs::traffic

@@ -1,13 +1,16 @@
 #include "traffic/trace_workload.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 
 namespace rbs::traffic {
+
+namespace {
+constexpr net::FlowId kFirstFlowId = 3'000'000;
+}  // namespace
 
 std::vector<TraceRecord> parse_trace(const std::string& text) {
   std::vector<TraceRecord> records;
@@ -60,14 +63,14 @@ std::string format_trace(const std::vector<TraceRecord>& records) {
 }
 
 TraceWorkload::TraceWorkload(sim::Simulation& sim, net::Dumbbell& topo,
-                             std::vector<TraceRecord> records, TraceWorkloadConfig config)
-    : sim_{sim}, topo_{topo}, config_{config}, records_{std::move(records)} {
-  assert(config_.time_scale > 0);
+                             std::vector<TraceRecord> records, const TraceWorkloadConfig& config)
+    : FlowTable{sim, topo, config.tcp, config.sink},
+      placement_{topo, LeafRange{}},
+      records_{std::move(records)} {
   launches_.reserve(records_.size());
   for (std::size_t i = 0; i < records_.size(); ++i) {
-    const auto at =
-        sim::SimTime::from_seconds(records_[i].arrival_sec * config_.time_scale);
-    launches_.push_back(sim_.at(at, [this, i] { launch(i); }, sim::EventClass::kWorkload));
+    launches_.push_back(sim.at(sim::SimTime::from_seconds(records_[i].arrival_sec),
+                               [this, i] { arrive(i); }, sim::EventClass::kWorkload));
   }
 }
 
@@ -75,50 +78,16 @@ TraceWorkload::~TraceWorkload() {
   for (auto& h : launches_) h.cancel();
 }
 
-void TraceWorkload::launch(std::size_t index) {
-  const auto& record = records_[index];
-  const net::FlowId flow = config_.first_flow_id + static_cast<net::FlowId>(index);
-  const int count =
-      config_.leaf_count > 0 ? config_.leaf_count : topo_.num_leaves() - config_.leaf_offset;
-  const int leaf = config_.leaf_offset + static_cast<int>(index % static_cast<std::size_t>(count));
-
-  ActiveFlow af;
-  af.sink = std::make_unique<tcp::TcpSink>(sim_, topo_.receiver(leaf), flow, config_.sink);
-  af.source = std::make_unique<tcp::TcpSource>(sim_, topo_.sender(leaf),
-                                               topo_.receiver(leaf).id(), flow, config_.tcp,
-                                               record.size_packets);
-  af.source->set_completion_callback([this, flow](tcp::TcpSource&) {
-    sim_.after(sim::SimTime::zero(), [this, flow] { reap(flow); }, sim::EventClass::kWorkload);
-  });
-  af.source->start(sim_.now());
-  active_.emplace(flow, std::move(af));
-  ++started_;
-}
-
-void TraceWorkload::reap(net::FlowId flow) {
-  const auto it = active_.find(flow);
-  if (it == active_.end()) return;
-  const auto& src = *it->second.source;
-  fct_.record(src.flow_packets(), src.start_time(), src.finish_time());
-  ++completed_;
-  active_.erase(it);
+void TraceWorkload::arrive(std::size_t index) {
+  launch(placement_.leaf(index), kFirstFlowId + static_cast<net::FlowId>(index),
+         records_[index].size_packets);
 }
 
 void TraceWorkload::audit(check::AuditReport& report) const {
-  if (started_ != completed_ + active_.size()) {
-    report.violation("flow accounting broken: started " + std::to_string(started_) +
-                     " != completed " + std::to_string(completed_) + " + active " +
-                     std::to_string(active_.size()));
-  }
-  if (started_ > records_.size()) {
-    report.violation("started " + std::to_string(started_) + " flows from a trace of " +
+  FlowTable::audit(report);
+  if (flows_started() > records_.size()) {
+    report.violation("started " + std::to_string(flows_started()) + " flows from a trace of " +
                      std::to_string(records_.size()));
-  }
-  // active_ is an ordered map: iteration is already in flow-id order, so
-  // per-flow violations appear identically on every run.
-  for (const auto& [id, af] : active_) {
-    af.source->audit(report);
-    af.sink->audit(report);
   }
 }
 

@@ -4,6 +4,10 @@
 
 namespace rbs::traffic {
 
+namespace {
+constexpr std::uint64_t kRngStream = 0x0DB5;  ///< xor-ed with the flow id
+}  // namespace
+
 UdpSource::UdpSource(sim::Simulation& sim, net::Host& host, net::NodeId dst, net::FlowId flow,
                      UdpSourceConfig config)
     : sim_{sim},
@@ -11,7 +15,7 @@ UdpSource::UdpSource(sim::Simulation& sim, net::Host& host, net::NodeId dst, net
       dst_{dst},
       flow_{flow},
       config_{config},
-      rng_{sim.rng().fork(config.rng_stream ^ flow)} {
+      rng_{sim.rng().fork(kRngStream ^ flow)} {
   assert(config_.rate.bps() > 0 && config_.packet_size.count() > 0);
   host_.register_agent(flow_, *this);
 }

@@ -19,7 +19,6 @@ struct UdpSourceConfig {
   core::BitsPerSec rate{core::BitsPerSec{1e6}};
   core::Bytes packet_size{core::Bytes{1000}};
   bool poisson_gaps{false};  ///< true → exponential inter-packet gaps
-  std::uint64_t rng_stream{0x0DB5};
 };
 
 /// Sends a stream of datagrams from a host to a destination node.

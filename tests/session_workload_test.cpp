@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "net/dumbbell.hpp"
 #include "sim/simulation.hpp"
 
@@ -106,6 +108,18 @@ TEST(SessionWorkload, HeavyTailedSizesProduceLongAndShortTransfers) {
   }
   EXPECT_LE(min_size, 4);
   EXPECT_GE(max_size, 100);
+}
+
+TEST(SessionWorkload, ZeroSessionsPerLeafThrows) {
+  sim::Simulation sim{1};
+  net::Dumbbell topo{sim, small_topo(4)};
+  FixedFlowSize sizes{20};
+  SessionWorkloadConfig cfg;
+  cfg.sessions_per_leaf = 0;
+  EXPECT_THROW((SessionWorkload{sim, topo, sizes, cfg}), std::invalid_argument);
+  cfg.sessions_per_leaf = 1;
+  cfg.mean_think_time_sec = -1.0;
+  EXPECT_THROW((SessionWorkload{sim, topo, sizes, cfg}), std::invalid_argument);
 }
 
 }  // namespace

@@ -161,9 +161,9 @@ TEST(UtilizationMeter, BeginResetsWindow) {
 
 TEST(FctTracker, FiltersByStartTimeAndSize) {
   FctTracker t;
-  t.record(10, SimTime::seconds(1), SimTime::seconds(2));   // 1 s
-  t.record(10, SimTime::seconds(5), SimTime::seconds(8));   // 3 s
-  t.record(500, SimTime::seconds(6), SimTime::seconds(16)); // 10 s
+  t.add({10, SimTime::seconds(1), SimTime::seconds(2)});    // 1 s
+  t.add({10, SimTime::seconds(5), SimTime::seconds(8)});    // 3 s
+  t.add({500, SimTime::seconds(6), SimTime::seconds(16)});  // 10 s
 
   EXPECT_EQ(t.count(), 3u);
   EXPECT_NEAR(t.afct_seconds(), (1 + 3 + 10) / 3.0, 1e-12);

@@ -94,18 +94,6 @@ TEST(TraceWorkload, StartTimesFollowTheTrace) {
   EXPECT_EQ(wl.completions().records()[1].start, SimTime::from_seconds(2.0));
 }
 
-TEST(TraceWorkload, TimeScaleStretchesTheSchedule) {
-  sim::Simulation sim{1};
-  net::Dumbbell topo{sim, small_topo()};
-  TraceWorkloadConfig cfg;
-  cfg.time_scale = 4.0;
-  TraceWorkload wl{sim, topo, {{1.0, 3}}, cfg};
-  sim.run_until(SimTime::seconds(3));
-  EXPECT_EQ(wl.flows_started(), 0u);  // not yet: scaled to t = 4 s
-  sim.run_until(SimTime::seconds(5));
-  EXPECT_EQ(wl.flows_started(), 1u);
-}
-
 TEST(TraceWorkload, BufferSizeAffectsReplayedFct) {
   // The operator workflow: same trace, two buffer candidates.
   auto run = [](std::int64_t buffer) {
