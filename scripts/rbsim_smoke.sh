@@ -9,6 +9,8 @@
 #     dctcp); each must report utilization and label every flow with its
 #     flavor in the flow-stats rollup; a mixed-mode sweep must carry cca=
 #     to every point
+#   - trace replay: a generated trace replayed under the invariant auditor
+#     must complete every flow
 #   - hostile inputs: each must print one diagnostic and exit 2 within 10 s
 #
 # Usage: scripts/rbsim_smoke.sh   (from anywhere; takes no options)
@@ -85,6 +87,17 @@ for i in (0, 1):
     assert list(labeled) == ["cubic"], f"{path}: flow labels wrong: {labeled}"
 EOF
 
+echo "--- rbsim smoke: trace replay ---"
+mkdir -p build/trace_smoke
+# 60 flows of 1..59 packets, one every 50 ms, replayed with the auditor on.
+awk 'BEGIN { print "# arrival_seconds size_packets";
+             for (i = 0; i < 60; i++) printf "%.3f %d\n", 0.05 * i, 1 + (i * 17) % 59 }' \
+  > build/trace_smoke/trace.txt
+"$RBSIM" mode=trace trace=build/trace_smoke/trace.txt flows=8 duration=5 rate_mbps=20 \
+  --paranoia | tee build/trace_smoke/out.txt
+grep -q "trace        : 60 flows" build/trace_smoke/out.txt
+grep -q "completed    : 60 (active at cutoff: 0)" build/trace_smoke/out.txt
+
 echo "--- rbsim smoke: hostile inputs ---"
 mkdir -p build/hostile_smoke
 hostile=(
@@ -102,6 +115,9 @@ hostile=(
   "mode=short rate_mbps=0 duration=1 warmup=1"
   "--metrics build/hostile_smoke/m.json sample_interval=0 duration=1 warmup=1 flows=5"
   "--metrics build/hostile_smoke/m.json sample_interval=-1 duration=1 warmup=1 flows=5"
+  "rate_mbps=1e-300 duration=1 warmup=1 flows=5"
+  "duration=1e300 warmup=1 flows=5"
+  "--metrics build/hostile_smoke/m.json sample_interval=1e300 duration=1 warmup=1 flows=5"
 )
 for args in "${hostile[@]}"; do
   status=0

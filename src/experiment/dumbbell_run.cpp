@@ -13,14 +13,22 @@ namespace {
 // ever scheduled past warmup + measure, so backend=auto can resolve from it.
 // A zero-length run is allowed: it builds the world and tears it down.
 // A sample interval of zero would reschedule the samplers at the same
-// instant forever.
+// instant forever. Times that saturated SimTime::from_seconds, or whose
+// sum (end, or end plus one sample interval) passes infinity(), would wrap.
 sim::SimTime checked_run_end(const RunControls& controls, const net::DumbbellConfig& topo,
                              sim::SimTime warmup, sim::SimTime measure) {
+  const sim::SimTime interval = controls.telemetry.sample_interval;
+  constexpr sim::SimTime kEnd = sim::SimTime::infinity();
   require(topo.num_leaves >= 1, "dumbbell run: need at least one leaf");
-  require(controls.telemetry.sample_interval > sim::SimTime::zero(),
+  require(interval > sim::SimTime::zero(),
           "dumbbell run: telemetry sample interval must be > 0");
   require(warmup >= sim::SimTime::zero(), "dumbbell run: warm-up must be >= 0");
   require(measure >= sim::SimTime::zero(), "dumbbell run: measurement window must be >= 0");
+  require(warmup < kEnd, "dumbbell run: warm-up is past the simulated time range");
+  require(measure < kEnd - warmup,
+          "dumbbell run: measurement window ends past the simulated time range");
+  require(interval < kEnd - (warmup + measure),
+          "dumbbell run: telemetry sample interval reaches past the simulated time range");
   return warmup + measure;
 }
 

@@ -6,7 +6,12 @@
 namespace rbs::sim {
 
 SimTime SimTime::from_seconds(double s) noexcept {
-  return SimTime{static_cast<std::int64_t>(std::llround(s * 1e12))};
+  const double ps = s * 1e12;
+  // 2^63 is the first double past the int64 range; llround would wrap.
+  if (!(std::fabs(ps) < 0x1p63)) {
+    return ps < 0 ? SimTime{std::numeric_limits<std::int64_t>::min()} : infinity();
+  }
+  return SimTime{static_cast<std::int64_t>(std::llround(ps))};
 }
 
 SimTime transmission_time(std::int64_t bits, double bits_per_second) noexcept {

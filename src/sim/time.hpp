@@ -26,6 +26,8 @@ class SimTime {
   static constexpr SimTime microseconds(std::int64_t us) noexcept { return SimTime{us * 1'000'000}; }
   static constexpr SimTime milliseconds(std::int64_t ms) noexcept { return SimTime{ms * 1'000'000'000}; }
   static constexpr SimTime seconds(std::int64_t s) noexcept { return SimTime{s * 1'000'000'000'000}; }
+  /// Saturates outside the representable range: to infinity() above it
+  /// (and for NaN), to the most negative time below it.
   static SimTime from_seconds(double s) noexcept;
 
   /// The additive identity; also the time at which every simulation starts.

@@ -384,6 +384,24 @@ TEST(HostileInputs, RateAndSampleIntervalMustBePositive) {
   EXPECT_THROW((void)run_short_flow_experiment(negative_interval), std::invalid_argument);
 }
 
+// SimTime::from_seconds saturates past ~106 days instead of wrapping; a
+// run must reject the saturated times and a link too slow for one packet.
+TEST(HostileInputs, TimesPastTheSimulatedRangeThrow) {
+  auto crawling_link = fast_long(2, 10);
+  crawling_link.bottleneck_rate = core::BitsPerSec{1e-294};
+  EXPECT_THROW((void)run_long_flow_experiment(crawling_link), std::invalid_argument);
+  auto endless_window = fast_long(2, 10);
+  endless_window.measure = SimTime::from_seconds(1e300);
+  EXPECT_THROW((void)run_long_flow_experiment(endless_window), std::invalid_argument);
+  auto endless_interval = fast_long(2, 10);
+  endless_interval.telemetry.sample_interval = SimTime::from_seconds(1e300);
+  EXPECT_THROW((void)run_long_flow_experiment(endless_interval), std::invalid_argument);
+  auto overflowing_sum = fast_short();
+  overflowing_sum.warmup = SimTime::from_seconds(5e6);
+  overflowing_sum.measure = SimTime::from_seconds(5e6);
+  EXPECT_THROW((void)run_short_flow_experiment(overflowing_sum), std::invalid_argument);
+}
+
 TEST(HostileInputs, BisectionBracketThrows) {
   const auto ok = [](std::int64_t) { return true; };
   EXPECT_THROW((void)bisect_buffer(0, 10, ok), std::invalid_argument);

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 namespace rbs::sim {
 namespace {
 
@@ -36,6 +39,17 @@ TEST(SimTime, FromSecondsRoundsToNearestPicosecond) {
   EXPECT_EQ(SimTime::from_seconds(1e-12).ps(), 1);
   EXPECT_EQ(SimTime::from_seconds(1.4e-12).ps(), 1);
   EXPECT_EQ(SimTime::from_seconds(1.6e-12).ps(), 2);
+}
+
+TEST(SimTime, FromSecondsSaturatesOutsideTheRange) {
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  EXPECT_TRUE(SimTime::from_seconds(1e300).is_infinite());
+  EXPECT_TRUE(SimTime::from_seconds(9.3e6).is_infinite());  // just past ~106 days
+  EXPECT_TRUE(SimTime::from_seconds(std::numeric_limits<double>::infinity()).is_infinite());
+  EXPECT_TRUE(SimTime::from_seconds(std::numeric_limits<double>::quiet_NaN()).is_infinite());
+  EXPECT_EQ(SimTime::from_seconds(-1e300).ps(), kMin);
+  EXPECT_EQ(SimTime::from_seconds(9.2e6).ps(), 9'200'000'000'000'000'000);  // still exact
+  EXPECT_TRUE(transmission_time(8000, 1e-294).is_infinite());
 }
 
 TEST(SimTime, ArithmeticAndComparison) {
