@@ -41,15 +41,13 @@ CcaMatrixCell run_cell(const CcaMatrixConfig& mc, tcp::TcpFlavor cca, int n) {
   cfg.num_flows = n;
 
   // The scenario's BDP is topological (propagation RTT × rate); read it off
-  // a minimal run rather than re-deriving the dumbbell's mean-RTT formula.
+  // the cell's dumbbell, whose access delays the seed draws, rather than
+  // re-deriving the dumbbell's mean-RTT formula.
+  require(n >= 1, "CCA matrix: every flow count must be >= 1");
   {
-    LongFlowExperimentConfig probe = cfg;
-    probe.warmup = sim::SimTime::milliseconds(1);
-    probe.measure = sim::SimTime::milliseconds(1);
-    probe.telemetry = TelemetryConfig{};
-    probe.checked = false;
-    cell.bdp_packets =
-        static_cast<std::int64_t>(std::llround(run_long_flow_experiment(probe).bdp_packets));
+    sim::Simulation sim{cfg.seed};
+    const net::Dumbbell topo{sim, dumbbell_for(cfg, n)};
+    cell.bdp_packets = static_cast<std::int64_t>(std::llround(topo.bdp_packets(cfg.tcp.segment)));
   }
   cell.sqrt_rule_packets = std::max<std::int64_t>(
       1, static_cast<std::int64_t>(
