@@ -12,7 +12,8 @@ telemetry allowlist) exercise their real predicates — and asserts the
 produced rule multiset per file matches the expectation exactly.
 
 Also asserts corpus completeness: every rule id must appear in at least
-one failing fixture and one clean twin.
+one failing fixture and one clean twin, and that the CLI rejects an empty
+or unknown --rules selection with exit 2.
 
 Usage: python3 scripts/run_analyzer_fixtures.py [--fixtures DIR]
 Exit 0 on success, 1 on mismatch.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import re
+import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
@@ -95,6 +97,17 @@ def main() -> int:
                 f"tests/analyzer_fixtures/src/{rule.lower()}_clean.cpp with an "
                 f"empty '// rbs-analyze-fixture-expect:' header"
             )
+
+    # Rule selection: a selection naming no rule, or an unknown one, is a
+    # usage error, never a silent run of every rule.
+    for selection in ("", " , ", "R99"):
+        status = subprocess.run(
+            [sys.executable, "-m", "rbs_analyze", "--rules", selection, "--quiet",
+             "--files"],
+            cwd=Path(__file__).resolve().parent, capture_output=True,
+        ).returncode
+        if status != 2:
+            failures.append(f"cli: --rules {selection!r} exited {status}, want 2")
 
     if failures:
         print("fixture harness: FAIL", file=sys.stderr)
