@@ -9,8 +9,8 @@
 #   4. rbsim smoke (scripts/rbsim_smoke.sh, shared with CI): a --faults run
 #      and a malformed schedule, one instrumented run whose trace, metrics
 #      and flow-stats artifacts check_telemetry.py validates, one short run
-#      per modern congestion-control flavor, and hostile inputs that must
-#      exit 2 within 10 s
+#      per modern congestion-control flavor, a trace replay under the
+#      invariant auditor, and hostile inputs that must exit 2 within 10 s
 #   5. ASan/UBSan + RBS_CHECKED: rebuild with AddressSanitizer +
 #      UndefinedBehaviorSanitizer and the hot-path invariant macros armed,
 #      run the complete test suite
@@ -77,7 +77,7 @@ python3 scripts/run_analyzer_fixtures.py
 echo "=== [3/8] bench smoke ==="
 cmake --build build -j "$JOBS" --target bench_smoke
 
-echo "=== [4/8] rbsim smoke: faults, telemetry, CCA, hostile inputs ==="
+echo "=== [4/8] rbsim smoke: faults, telemetry, CCA, trace replay, hostile inputs ==="
 scripts/rbsim_smoke.sh
 
 echo "=== [5/8] ASan/UBSan + RBS_CHECKED: full test suite ==="
