@@ -85,6 +85,8 @@ class Link final : public PacketSink {
   /// (TCP recovers via its own RTO machinery).
   void fault_up();
   /// Scales the serialization rate by `factor` (> 0). 1.0 restores normal.
+  /// A packet whose serialization would then end past the SimTime range
+  /// never ends: the link stalls on it until fault_down().
   void fault_set_rate_factor(double factor);
   /// Adds `extra` to the propagation delay (zero() restores normal).
   void fault_set_extra_propagation(sim::SimTime extra);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <vector>
 
 #include "net/drop_tail_queue.hpp"
@@ -139,6 +140,42 @@ TEST(LinkTimingTest, HighRateSmallPacketTiming) {
   sim.run();
   ASSERT_EQ(sink.arrivals_.size(), 1u);
   EXPECT_EQ(sink.arrivals_[0].time, sim::SimTime::nanoseconds(8));
+}
+
+TEST(LinkTimingTest, RateBoundIsSetByAMaximumSizePacket) {
+  // 1500 bytes at 1 kb/s = 12 s: slow, but well inside the SimTime range.
+  sim::Simulation sim{1};
+  RecordingSink sink{sim};
+  Link link{sim, "slow", Link::Config{core::BitsPerSec{1e3}, sim::SimTime::zero()},
+            std::make_unique<DropTailQueue>(1), sink};
+  link.receive(make_packet(0, 1500));
+  sim.run();
+  ASSERT_EQ(sink.arrivals_.size(), 1u);
+  EXPECT_EQ(sink.arrivals_[0].time, 12_sec);
+  // 65'535 bytes at 0.01 b/s take ~5e7 s, past the ~9.2e6 s SimTime range.
+  EXPECT_THROW((Link{sim, "crawl", Link::Config{core::BitsPerSec{0.01}, sim::SimTime::zero()},
+                     std::make_unique<DropTailQueue>(1), sink}),
+               std::invalid_argument);
+}
+
+TEST_F(LinkTest, BrownoutPastTheTimeRangeStallsInsteadOfWrapping) {
+  // The serialization time saturates; scheduling its end at now + infinity
+  // would wrap to the past (for any now > 0) and deliver the packet at once.
+  sim_.run_until(1_ms);
+  link_.fault_set_rate_factor(1e-300);
+  link_.receive(make_packet(0));
+  sim_.run_until(1_sec);
+  EXPECT_TRUE(sink_.arrivals_.empty());
+  EXPECT_EQ(link_.stats().busy_time, sim::SimTime::zero());
+  // Going down drops the stalled packet; at the normal rate service resumes.
+  link_.fault_down();
+  link_.fault_set_rate_factor(1.0);
+  link_.fault_up();
+  link_.receive(make_packet(1));
+  sim_.run();
+  ASSERT_EQ(sink_.arrivals_.size(), 1u);
+  EXPECT_EQ(sink_.arrivals_[0].packet.seq, 1);
+  EXPECT_EQ(sink_.arrivals_[0].time, 1_sec + 13_ms);
 }
 
 }  // namespace
