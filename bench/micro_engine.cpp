@@ -1,6 +1,7 @@
 // Engine microbenchmarks (google-benchmark): event scheduling, cancel and
 // reap throughput, steady-state schedule->fire, parallel sweep dispatch,
-// and end-to-end simulated-seconds-per-wall-second for a reference dumbbell.
+// end-to-end simulated-seconds-per-wall-second for a reference dumbbell, and
+// the cost of building and tearing one down.
 //
 // Emit machine-readable numbers with --benchmark_format=json; the repo's
 // BENCH_engine.json tracks these results across engine changes.
@@ -13,6 +14,7 @@
 #include "experiment/long_flow_experiment.hpp"
 #include "experiment/sweep.hpp"
 #include "net/drop_tail_queue.hpp"
+#include "net/dumbbell.hpp"
 #include "sim/simulation.hpp"
 #include "tcp/congestion_control.hpp"
 #include "telemetry/sketch.hpp"
@@ -210,6 +212,20 @@ void BM_DumbbellSimulatedSecond(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DumbbellSimulatedSecond)->Arg(10)->Arg(50)->Unit(benchmark::kMillisecond);
+
+void BM_DumbbellBuild(benchmark::State& state) {
+  // Build and tear down a Simulation plus an N-leaf OC3 dumbbell: the
+  // topology every experiment run (and bisection probe) assembles before
+  // its workload.
+  net::DumbbellConfig cfg;
+  cfg.num_leaves = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    sim::Simulation sim{kBenchSeed};
+    net::Dumbbell topo{sim, cfg};
+    benchmark::DoNotOptimize(&topo);
+  }
+}
+BENCHMARK(BM_DumbbellBuild)->Arg(50)->Arg(500)->Unit(benchmark::kMicrosecond);
 
 void BM_TelemetryOverhead(benchmark::State& state) {
   // Cost of the observability layer on a reference run. Arg selects the

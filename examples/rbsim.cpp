@@ -31,7 +31,7 @@
 //   red         0|1 use RED at the bottleneck [0]
 //   ecn         0|1 RED marks instead of drops [0]
 //   cca         tahoe | reno | newreno | cubic | bbr | dctcp  congestion
-//               control for the TCP senders (long/mixed modes) [newreno].
+//               control for the TCP senders (every mode) [newreno].
 //               cca=dctcp additionally switches the bottleneck (long mode)
 //               to step-marking RED with threshold K = buffer/2, the
 //               operating point DCTCP assumes (experiment::apply_cca_profile)
@@ -306,7 +306,7 @@ int run_rbsim(int argc, char** argv) {
   controls.checked = paranoia;
   if (paranoia) std::printf("rbsim: paranoia mode on — invariant auditor attached\n");
 
-  // Congestion-control flavor for the TCP senders (long/mixed modes).
+  // Congestion-control flavor for the TCP senders (every mode).
   std::optional<tcp::TcpFlavor> cca;
   const std::string cca_str = get_str(kv, "cca", "");
   if (!cca_str.empty()) {
@@ -541,6 +541,9 @@ int run_rbsim(int argc, char** argv) {
     cfg.bottleneck_rate = core::BitsPerSec{rate_bps};
     cfg.load = get_num(kv, "short_load", 0.8);
     cfg.flow_packets = get_int(kv, "flow_len", 62, kLongMin, kLongMax);
+    // Flavor only, as in mixed mode: the DCTCP step-marking profile is
+    // long mode's.
+    if (cca) cfg.tcp.flavor = *cca;
     cfg.warmup = sim::SimTime::from_seconds(warmup);
     cfg.measure = sim::SimTime::from_seconds(duration);
 
@@ -655,7 +658,9 @@ int run_rbsim(int argc, char** argv) {
     const double trace_end = records.back().arrival_sec;
     experiment::DumbbellRun run{controls, topo_cfg, sim::SimTime::zero(),
                                 sim::SimTime::from_seconds(trace_end + duration)};
-    traffic::TraceWorkload wl{run.sim, run.topo, records, traffic::TraceWorkloadConfig{}};
+    traffic::TraceWorkloadConfig trace_cfg;
+    if (cca) trace_cfg.tcp.flavor = *cca;
+    traffic::TraceWorkload wl{run.sim, run.topo, records, trace_cfg};
     // No warm-up: the replay window opens at t = 0, before faults are armed.
     run.begin_measurement(
         {{"flows_active", [&wl] { return static_cast<double>(wl.flows_active()); }}});

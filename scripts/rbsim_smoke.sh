@@ -8,7 +8,8 @@
 #   - CCA: one short run per modern congestion-control flavor (cubic, bbr,
 #     dctcp); each must report utilization and label every flow with its
 #     flavor in the flow-stats rollup; a mixed-mode sweep must carry cca=
-#     to every point
+#     to every point; short and trace runs with cca=bbr must not print the
+#     same output as with cca=newreno (the flavor reaches their senders)
 #   - trace replay: a generated trace replayed under the invariant auditor
 #     must complete every flow
 #   - hostile inputs: each must print one diagnostic and exit 2 within 10 s
@@ -86,6 +87,14 @@ for i in (0, 1):
     labeled = json.load(open(path))["flow_stats"]["cca"]
     assert list(labeled) == ["cubic"], f"{path}: flow labels wrong: {labeled}"
 EOF
+for cca in newreno bbr; do
+  "$RBSIM" mode=short duration=2 warmup=1 rate_mbps=20 "cca=$cca" \
+    > "build/cca_smoke/short_$cca.txt"
+done
+if cmp -s build/cca_smoke/short_newreno.txt build/cca_smoke/short_bbr.txt; then
+  echo "rbsim_smoke: FATAL: mode=short ignores cca= (bbr output == newreno output)" >&2
+  exit 1
+fi
 
 echo "--- rbsim smoke: trace replay ---"
 mkdir -p build/trace_smoke
@@ -97,6 +106,14 @@ awk 'BEGIN { print "# arrival_seconds size_packets";
   --paranoia | tee build/trace_smoke/out.txt
 grep -q "trace        : 60 flows" build/trace_smoke/out.txt
 grep -q "completed    : 60 (active at cutoff: 0)" build/trace_smoke/out.txt
+for cca in newreno bbr; do
+  "$RBSIM" mode=trace trace=build/trace_smoke/trace.txt flows=8 duration=5 rate_mbps=20 \
+    "cca=$cca" > "build/trace_smoke/out_$cca.txt"
+done
+if cmp -s build/trace_smoke/out_newreno.txt build/trace_smoke/out_bbr.txt; then
+  echo "rbsim_smoke: FATAL: mode=trace ignores cca= (bbr output == newreno output)" >&2
+  exit 1
+fi
 
 echo "--- rbsim smoke: hostile inputs ---"
 mkdir -p build/hostile_smoke

@@ -78,14 +78,13 @@ void DumbbellRun::begin_measurement(const Probes& extra) {
 }
 
 void DumbbellRun::sample_queue(sim::SimTime interval) {
-  queue_sampler_ = std::make_unique<stats::PeriodicSampler>(sim, interval, [this] {
+  queue_ticker_ = std::make_unique<stats::PeriodicTicker>(sim, interval, [this] {
     const auto q = static_cast<std::size_t>(topo.bottleneck().occupancy_packets());
     if (q >= occupancy_counts_.size()) occupancy_counts_.resize(q + 1, 0);
     ++occupancy_counts_[q];
     occupancy_.add(static_cast<double>(q));
-    return static_cast<double>(q);
   });
-  queue_sampler_->start(sim.now() + interval);
+  queue_ticker_->start(sim.now() + interval);
 }
 
 void DumbbellRun::measure(const telemetry::ConvergenceConfig* convergence, bool early_exit) {
@@ -96,7 +95,7 @@ void DumbbellRun::measure(const telemetry::ConvergenceConfig* convergence, bool 
   if (convergence != nullptr && (controls_.telemetry.metrics || early_exit)) {
     conv_ = std::make_unique<telemetry::ConvergenceDetector>(*convergence);
     net::Link& link = topo.bottleneck();
-    conv_sampler_ = std::make_unique<stats::PeriodicSampler>(
+    conv_ticker_ = std::make_unique<stats::PeriodicTicker>(
         sim, interval,
         [this, &link, det = conv_.get(), interval_sec = interval.to_seconds(),
          prev_bits = link.stats().bits_delivered,
@@ -110,9 +109,8 @@ void DumbbellRun::measure(const telemetry::ConvergenceConfig* convergence, bool 
           prev_drops = drops;
           det->observe(sim.now(), util, static_cast<double>(link.occupancy_packets()),
                        drop_pps);
-          return det->converged() ? 1.0 : 0.0;
         });
-    conv_sampler_->start(sim.now() + interval);
+    conv_ticker_->start(sim.now() + interval);
   }
 
   if (early_exit && conv_) {

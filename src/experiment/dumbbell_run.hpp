@@ -165,9 +165,9 @@ class DumbbellRun {
   stats::UtilizationMeter meter_;
   stats::OnlineStats occupancy_;
   std::vector<std::uint64_t> occupancy_counts_;  // index = occupancy in packets
-  std::unique_ptr<stats::PeriodicSampler> queue_sampler_;
+  std::unique_ptr<stats::PeriodicTicker> queue_ticker_;
   std::unique_ptr<telemetry::ConvergenceDetector> conv_;
-  std::unique_ptr<stats::PeriodicSampler> conv_sampler_;
+  std::unique_ptr<stats::PeriodicTicker> conv_ticker_;
 };
 
 /// One bisection probe: its verdict, and the smallest buffer from which its

@@ -20,6 +20,8 @@ MixedFlowExperimentResult run_mixed_flow_experiment(const MixedFlowExperimentCon
   require(config.short_flow_load > 0, "mixed experiment: short_flow_load must be > 0");
   require(std::isfinite(config.short_flow_load),
           "mixed experiment: short_flow_load must be finite");
+  require(config.udp_load >= 0, "mixed experiment: udp_load must be >= 0");
+  require(std::isfinite(config.udp_load), "mixed experiment: udp_load must be finite");
   // Long-flow throughput is normalized by the window length.
   require(config.measure > sim::SimTime::zero(), "mixed experiment: measure must be > 0");
   DumbbellRun run{config, dumbbell_for(config, config.num_long_flows + config.num_short_leaves),

@@ -61,7 +61,8 @@ struct MixedFlowExperimentResult {
 };
 
 /// Throws std::invalid_argument for num_long_flows < 0, num_short_leaves
-/// < 1, short_flow_load <= 0, measure <= 0 and for the run-level
+/// < 1, a short_flow_load that is not positive and finite, a udp_load that
+/// is negative or not finite, measure <= 0 and for the run-level
 /// conditions of DumbbellRun.
 [[nodiscard]] MixedFlowExperimentResult run_mixed_flow_experiment(
     const MixedFlowExperimentConfig& config);

@@ -1,9 +1,9 @@
 // Drop-tail FIFO queue — the discipline the paper's routers use.
 #pragma once
 
-#include <deque>
 
 #include "core/units.hpp"
+#include "net/packet_ring.hpp"
 #include "net/queue.hpp"
 
 namespace rbs::net {
@@ -60,7 +60,7 @@ class DropTailQueue final : public Queue {
   core::Bytes limit_bytes_;
   std::int64_t bytes_{0};
   std::int64_t peak_backlog_{0};
-  std::deque<Packet> fifo_;
+  PacketRing fifo_;
 };
 
 }  // namespace rbs::net

@@ -12,11 +12,11 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <list>
 #include <unordered_map>
 
 #include "core/units.hpp"
+#include "net/packet_ring.hpp"
 #include "net/queue.hpp"
 
 namespace rbs::net {
@@ -53,7 +53,7 @@ class DrrQueue final : public Queue {
 
  private:
   struct FlowState {
-    std::deque<Packet> fifo;
+    PacketRing fifo;
     std::int64_t deficit{0};
   };
 

@@ -7,8 +7,8 @@
 // variant's second ramp between max_th and 2*max_th.
 #pragma once
 
-#include <deque>
 
+#include "net/packet_ring.hpp"
 #include "net/queue.hpp"
 #include "sim/simulation.hpp"
 
@@ -74,7 +74,7 @@ class RedQueue final : public Queue {
   double min_th_;
   double max_th_;
 
-  std::deque<Packet> fifo_;
+  PacketRing fifo_;
   std::int64_t bytes_{0};
   double avg_{0.0};
   std::int64_t count_since_drop_{-1};  // -1: no packet since last drop

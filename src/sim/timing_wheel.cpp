@@ -20,7 +20,13 @@ void TimingWheel::insert(const ReadyEntry& entry) {
     const unsigned idx = static_cast<unsigned>(abs_bucket) & (kBuckets - 1);
     Level& level = level_for(l);
     auto& bucket = level.buckets[idx];
-    if (bucket.empty()) set_bit(level.bitmap, idx);
+    if (bucket.empty()) {
+      set_bit(level.bitmap, idx);
+      if (bucket.capacity() == 0 && l != 0 && !spares_.empty()) {
+        bucket = std::move(spares_.back());
+        spares_.pop_back();
+      }
+    }
     bucket.push_back(entry);
     ++level.count;
     ++size_;
@@ -98,6 +104,7 @@ std::int64_t TimingWheel::drain_earliest_bucket(std::vector<ReadyEntry>& out) {
     clear_bit(level.bitmap, idx);
     for (const ReadyEntry& entry : bucket) insert(entry);
     bucket.clear();
+    release(bucket);
   }
 }
 
@@ -110,6 +117,16 @@ std::size_t TimingWheel::occupied_buckets() const noexcept {
     }
   }
   return occupied;
+}
+
+std::size_t TimingWheel::reserved_entries() const noexcept {
+  std::size_t reserved = 0;
+  for (const auto& level : levels_) {
+    if (level == nullptr) continue;
+    for (const auto& bucket : level->buckets) reserved += bucket.capacity();
+  }
+  for (const auto& spare : spares_) reserved += spare.capacity();
+  return reserved;
 }
 
 }  // namespace rbs::sim

@@ -27,6 +27,15 @@
 // The wheel never inspects event liveness: cancelled entries ride along as
 // tombstones and the Scheduler filters them when a bucket drains, exactly as
 // the reference heap backend does.
+//
+// Bucket storage follows the live entries. A level-0 bucket keeps its
+// capacity when it drains, since the level laps every ~17 ms and the bucket
+// will refill. A level-1 lap is ~4.4 s, longer than most runs, so a drained
+// bucket above level 0 would hold its peak capacity unused for the rest of
+// the run; instead it hands its storage to a spare list, from which the
+// next higher-level bucket that fills takes it. The higher levels together
+// then hold about as much as their fullest moment, not the sum of every
+// bucket that ever filled.
 #pragma once
 
 #include <array>
@@ -106,7 +115,8 @@ class TimingWheel {
   template <typename Pred>
   std::size_t remove_if(Pred&& dead) {
     std::size_t removed = 0;
-    for (auto& level : levels_) {
+    for (int l = 0; l < kLevels; ++l) {
+      auto& level = levels_[static_cast<std::size_t>(l)];
       if (level == nullptr || level->count == 0) continue;
       std::size_t removed_here = 0;
       for (unsigned word = 0; word < level->bitmap.size(); ++word) {
@@ -119,7 +129,10 @@ class TimingWheel {
           }
           removed_here += bucket.size() - kept;
           bucket.resize(kept);
-          if (kept == 0) clear_bit(level->bitmap, b);
+          if (kept == 0) {
+            clear_bit(level->bitmap, b);
+            if (l != 0) release(bucket);
+          }
         }
       }
       level->count -= removed_here;
@@ -149,6 +162,10 @@ class TimingWheel {
   /// Currently occupied buckets across all levels (telemetry gauge).
   [[nodiscard]] std::size_t occupied_buckets() const noexcept;
 
+  /// Entries the wheel has storage for: the capacity of every bucket plus
+  /// the spare list. Tests use it to check that storage is reused.
+  [[nodiscard]] std::size_t reserved_entries() const noexcept;
+
  private:
   using Bitmap = std::array<std::uint64_t, kBuckets / 64>;
 
@@ -171,12 +188,21 @@ class TimingWheel {
 
   Level& level_for(int l);
 
+  /// Moves an emptied higher-level bucket's storage to the spare list.
+  void release(std::vector<ReadyEntry>& bucket) {
+    if (bucket.capacity() != 0) spares_.push_back(std::move(bucket));
+    bucket = {};
+  }
+
   SimTime base_{};
   std::size_t size_{0};
   std::uint64_t cascades_{0};
   // Lazily allocated: a Scheduler on the heap backend (or an idle wheel
   // level) pays four null pointers, not 256 bucket vectors per level.
   std::array<std::unique_ptr<Level>, kLevels> levels_{};
+  // Empty vectors with capacity, released by drained buckets above level 0
+  // and taken by the next one that fills.
+  std::vector<std::vector<ReadyEntry>> spares_;
 };
 
 }  // namespace rbs::sim

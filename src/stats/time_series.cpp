@@ -22,16 +22,20 @@ std::string TimeSeries::to_csv() const {
   return out;
 }
 
+PeriodicTicker::PeriodicTicker(sim::Simulation& sim, sim::SimTime interval, Tick tick)
+    : sim_{sim}, interval_{interval}, tick_{std::move(tick)} {}
+
+void PeriodicTicker::start(sim::SimTime first) {
+  next_ = sim_.at(first, [this] { fire(); }, sim::EventClass::kSampler);
+}
+
+void PeriodicTicker::fire() {
+  tick_();
+  next_ = sim_.after(interval_, [this] { fire(); }, sim::EventClass::kSampler);
+}
+
 PeriodicSampler::PeriodicSampler(sim::Simulation& sim, sim::SimTime interval, Probe probe)
-    : sim_{sim}, interval_{interval}, probe_{std::move(probe)} {}
-
-void PeriodicSampler::start(sim::SimTime first) {
-  next_ = sim_.at(first, [this] { tick(); }, sim::EventClass::kSampler);
-}
-
-void PeriodicSampler::tick() {
-  series_.record(sim_.now(), probe_());
-  next_ = sim_.after(interval_, [this] { tick(); }, sim::EventClass::kSampler);
-}
+    : probe_{std::move(probe)},
+      ticker_{sim, interval, [this, &sim] { series_.record(sim.now(), probe_()); }} {}
 
 }  // namespace rbs::stats

@@ -1,4 +1,5 @@
-// Sampled time series and a periodic sampler driven by the event loop.
+// Sampled time series, and the periodic tick loop that fills them from the
+// event loop.
 #pragma once
 
 #include <functional>
@@ -46,33 +47,53 @@ class TimeSeries {
   OnlineStats summary_;
 };
 
-/// Calls a probe function every `interval` and records the result.
-/// Sampling stops when the object is destroyed or stop() is called.
+/// Calls `tick` every `interval` of simulated time, one scheduler event per
+/// call, from start() until stop() or destruction.
+class PeriodicTicker {
+ public:
+  using Tick = std::function<void()>;
+
+  PeriodicTicker(sim::Simulation& sim, sim::SimTime interval, Tick tick);
+  ~PeriodicTicker() { stop(); }
+
+  PeriodicTicker(const PeriodicTicker&) = delete;
+  PeriodicTicker& operator=(const PeriodicTicker&) = delete;
+
+  /// Begins ticking at `first` (absolute time).
+  void start(sim::SimTime first);
+  void stop() noexcept { next_.cancel(); }
+
+ private:
+  void fire();
+
+  sim::Simulation& sim_;
+  sim::SimTime interval_;
+  Tick tick_;
+  sim::Scheduler::EventHandle next_;
+};
+
+/// Calls a probe function every `interval` and records the result: a
+/// PeriodicTicker plus the TimeSeries it fills.
 class PeriodicSampler {
  public:
   using Probe = std::function<double()>;
 
   PeriodicSampler(sim::Simulation& sim, sim::SimTime interval, Probe probe);
-  ~PeriodicSampler() { stop(); }
 
-  PeriodicSampler(const PeriodicSampler&) = delete;
+  PeriodicSampler(const PeriodicSampler&) = delete;  // the ticker captures `this`
   PeriodicSampler& operator=(const PeriodicSampler&) = delete;
 
   /// Begins sampling at `first` (absolute time).
-  void start(sim::SimTime first);
-  void stop() noexcept { next_.cancel(); }
+  void start(sim::SimTime first) { ticker_.start(first); }
+  void stop() noexcept { ticker_.stop(); }
 
   [[nodiscard]] const TimeSeries& series() const noexcept { return series_; }
   [[nodiscard]] TimeSeries& series() noexcept { return series_; }
 
  private:
-  void tick();
-
-  sim::Simulation& sim_;
-  sim::SimTime interval_;
   Probe probe_;
   TimeSeries series_;
-  sim::Scheduler::EventHandle next_;
+  PeriodicTicker ticker_;  // last: stops before the probe and series go
 };
 
 }  // namespace rbs::stats

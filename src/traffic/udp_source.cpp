@@ -1,11 +1,31 @@
 #include "traffic/udp_source.hpp"
 
-#include <cassert>
+#include <cmath>
+#include <stdexcept>
 
 namespace rbs::traffic {
 
 namespace {
 constexpr std::uint64_t kRngStream = 0x0DB5;  ///< xor-ed with the flow id
+
+double mean_gap_seconds(const UdpSourceConfig& config) {
+  return 8.0 * static_cast<double>(config.packet_size.count()) / config.rate.bps();
+}
+
+const UdpSourceConfig& checked(const UdpSourceConfig& config) {
+  const double rate = config.rate.bps();
+  if (!(rate > 0) || !std::isfinite(rate)) {
+    throw std::invalid_argument{"UdpSource: rate must be positive and finite"};
+  }
+  if (config.packet_size.count() <= 0) {
+    throw std::invalid_argument{"UdpSource: packet size must be positive"};
+  }
+  if (sim::SimTime::from_seconds(mean_gap_seconds(config)) <= sim::SimTime::zero()) {
+    throw std::invalid_argument{"UdpSource: rate too high, packet gap under one picosecond"};
+  }
+  return config;
+}
+
 }  // namespace
 
 UdpSource::UdpSource(sim::Simulation& sim, net::Host& host, net::NodeId dst, net::FlowId flow,
@@ -14,9 +34,8 @@ UdpSource::UdpSource(sim::Simulation& sim, net::Host& host, net::NodeId dst, net
       host_{host},
       dst_{dst},
       flow_{flow},
-      config_{config},
+      config_{checked(config)},
       rng_{sim.rng().fork(kRngStream ^ flow)} {
-  assert(config_.rate.bps() > 0 && config_.packet_size.count() > 0);
   host_.register_agent(flow_, *this);
 }
 
@@ -30,8 +49,7 @@ void UdpSource::start(sim::SimTime at) {
 }
 
 sim::SimTime UdpSource::next_gap() {
-  const double mean_gap_sec =
-      8.0 * static_cast<double>(config_.packet_size.count()) / config_.rate.bps();
+  const double mean_gap_sec = mean_gap_seconds(config_);
   if (config_.poisson_gaps) {
     return sim::SimTime::from_seconds(rng_.exponential(mean_gap_sec));
   }

@@ -24,6 +24,9 @@ struct UdpSourceConfig {
 /// Sends a stream of datagrams from a host to a destination node.
 class UdpSource final : public net::Agent {
  public:
+  /// Throws std::invalid_argument unless the rate and packet size are
+  /// positive and finite and the mean gap between packets is at least one
+  /// picosecond (a shorter gap would send forever at one instant).
   UdpSource(sim::Simulation& sim, net::Host& host, net::NodeId dst, net::FlowId flow,
             UdpSourceConfig config);
   ~UdpSource() override;

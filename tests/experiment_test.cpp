@@ -456,5 +456,16 @@ TEST(HostileInputs, MixedFlowConditionsThrow) {
   EXPECT_THROW((void)run_mixed_flow_experiment(empty_window), std::invalid_argument);
 }
 
+TEST(HostileInputs, MixedFlowNeedsAFiniteNonNegativeUdpLoad) {
+  // An infinite UDP rate used to leave no gap between datagrams, and the
+  // run never left its first instant.
+  for (const double load : {std::numeric_limits<double>::infinity(), -0.1,
+                            std::numeric_limits<double>::quiet_NaN()}) {
+    auto cfg = fast_mixed();
+    cfg.udp_load = load;
+    EXPECT_THROW((void)run_mixed_flow_experiment(cfg), std::invalid_argument) << load;
+  }
+}
+
 }  // namespace
 }  // namespace rbs::experiment

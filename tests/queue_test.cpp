@@ -1,11 +1,14 @@
-// Unit tests for the drop-tail and RED queue disciplines.
+// Unit tests for the drop-tail and RED queue disciplines and the packet
+// ring they store packets in.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <vector>
 
 #include "core/units.hpp"
 #include "net/drop_tail_queue.hpp"
 #include "net/drr_queue.hpp"
+#include "net/packet_ring.hpp"
 #include "net/red_queue.hpp"
 #include "sim/simulation.hpp"
 
@@ -18,6 +21,66 @@ Packet make_packet(std::int64_t seq, std::int32_t bytes = 1000) {
   p.seq = seq;
   p.size_bytes = bytes;
   return p;
+}
+
+std::vector<std::int64_t> seqs(const PacketRing& ring) {
+  std::vector<std::int64_t> out;
+  for (const Packet& p : ring) out.push_back(p.seq);
+  return out;
+}
+
+TEST(PacketRing, AllocatesNothingUntilTheFirstPush) {
+  PacketRing ring;
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.capacity(), 0u);
+  EXPECT_TRUE(ring.begin() == ring.end());
+  ring.push_back(make_packet(0));
+  EXPECT_EQ(ring.capacity(), PacketRing::kInitialCapacity);
+}
+
+TEST(PacketRing, KeepsFifoOrderWhenGrowingWhileWrapped) {
+  PacketRing ring;
+  std::int64_t next_in = 0;
+  std::int64_t next_out = 0;
+  // Fill to capacity, then move the head past the middle so the contents
+  // wrap around the end of the storage before the ring has to grow.
+  for (std::size_t i = 0; i < PacketRing::kInitialCapacity; ++i) ring.push_back(make_packet(next_in++));
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_EQ(ring.front().seq, next_out++);
+    ring.pop_front();
+  }
+  for (int i = 0; i < 5; ++i) ring.push_back(make_packet(next_in++));
+  ASSERT_EQ(ring.capacity(), PacketRing::kInitialCapacity);  // full and wrapped
+  for (int i = 0; i < 40; ++i) ring.push_back(make_packet(next_in++));  // grows twice
+  EXPECT_EQ(ring.capacity(), 8 * PacketRing::kInitialCapacity);
+  std::vector<std::int64_t> want;
+  for (std::int64_t s = next_out; s < next_in; ++s) want.push_back(s);
+  EXPECT_EQ(seqs(ring), want);
+  EXPECT_EQ(ring.size(), want.size());
+  while (!ring.empty()) {
+    EXPECT_EQ(ring.front().seq, next_out++);
+    ring.pop_front();
+  }
+  EXPECT_EQ(next_out, next_in);
+}
+
+TEST(PacketRing, BackAndPopBackTakeTheNewestPacket) {
+  PacketRing ring;
+  for (int i = 0; i < 6; ++i) ring.push_back(make_packet(i));
+  ring.pop_front();
+  ring.pop_front();
+  for (int i = 6; i < 10; ++i) ring.push_back(make_packet(i));  // wraps
+  EXPECT_EQ(ring.back().seq, 9);
+  ring.pop_back();
+  EXPECT_EQ(ring.back().seq, 8);
+  ring.pop_back();
+  EXPECT_EQ(seqs(ring), (std::vector<std::int64_t>{2, 3, 4, 5, 6, 7}));
+  ring.push_back(make_packet(42));
+  EXPECT_EQ(ring.back().seq, 42);
+  EXPECT_EQ(ring.front().seq, 2);
+  while (ring.size() > 1) ring.pop_back();
+  EXPECT_EQ(ring.front().seq, 2);
+  EXPECT_EQ(ring.back().seq, 2);
 }
 
 TEST(DropTailQueue, FifoOrder) {

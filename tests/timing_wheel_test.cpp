@@ -86,6 +86,53 @@ std::vector<Firing> run_random_script(SchedulerBackend backend, std::uint64_t se
   return fired;
 }
 
+// One level-1 bucket's width: an entry this far past the base skips level 0.
+constexpr std::int64_t kLevel1BucketPs = TimingWheel::kBucketWidthPs << TimingWheel::kBucketBits;
+
+/// Fills level-1 bucket `k` (counted from a zero base) with `n` entries.
+void fill_level1_bucket(TimingWheel& wheel, std::int64_t k, std::size_t n, std::uint64_t& seq) {
+  const auto t = SimTime::picoseconds(k * kLevel1BucketPs + 5);
+  for (std::size_t i = 0; i < n; ++i) wheel.insert(ReadyEntry{t, seq++, 0});
+}
+
+TEST(TimingWheelStorage, DrainedHigherLevelBucketsPassTheirStorageOn) {
+  constexpr std::size_t kN = 1000;
+  constexpr std::int64_t kK = 20;
+  TimingWheel wheel;
+  std::vector<ReadyEntry> out;
+  std::uint64_t seq = 0;
+  for (std::int64_t k = 1; k <= kK; ++k) {
+    fill_level1_bucket(wheel, k, kN, seq);
+    while (!wheel.empty()) (void)wheel.drain_earliest_bucket(out);
+    ASSERT_EQ(out.size(), kN);
+    EXPECT_EQ(out.front().seq, seq - kN);
+    out.clear();
+  }
+  EXPECT_GT(wheel.cascades(), 0u);
+  // One level-0 bucket (every drain lands on the same index) and one spare,
+  // each rounded up to a power of two: ~2N, where keeping every drained
+  // bucket's capacity would hold K*N.
+  EXPECT_LE(wheel.reserved_entries(), 3 * kN);
+}
+
+TEST(TimingWheelStorage, BucketsEmptiedByReapPassTheirStorageOn) {
+  constexpr std::size_t kN = 1000;
+  constexpr std::int64_t kK = 20;
+  TimingWheel wheel;
+  std::uint64_t seq = 0;
+  for (std::int64_t k = 1; k <= kK; ++k) {
+    fill_level1_bucket(wheel, k, kN, seq);
+    EXPECT_EQ(wheel.remove_if([](const ReadyEntry&) { return true; }), kN);
+    EXPECT_TRUE(wheel.empty());
+  }
+  EXPECT_LE(wheel.reserved_entries(), 2 * kN);
+  // The storage still serves: a later bucket fills and drains normally.
+  fill_level1_bucket(wheel, kK + 1, kN, seq);
+  std::vector<ReadyEntry> out;
+  while (!wheel.empty()) (void)wheel.drain_earliest_bucket(out);
+  EXPECT_EQ(out.size(), kN);
+}
+
 TEST(TimingWheelBackend, RandomScriptsFireIdenticallyOnBothBackends) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     const auto heap = run_random_script(SchedulerBackend::kHeap, seed);

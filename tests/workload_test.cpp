@@ -215,6 +215,24 @@ TEST(UdpSource, CbrSendsAtConfiguredRate) {
   EXPECT_EQ(sink.packets_received(), src.packets_sent());
 }
 
+TEST(UdpSource, RateAndPacketSizeMustBePositiveAndFinite) {
+  sim::Simulation sim{1};
+  net::Dumbbell topo{sim, small_topo(1)};
+  const auto make = [&](double rate_bps, std::int64_t bytes) {
+    UdpSourceConfig cfg;
+    cfg.rate = core::BitsPerSec{rate_bps};
+    cfg.packet_size = core::Bytes{bytes};
+    UdpSource src{sim, topo.sender(0), topo.receiver(0).id(), 77, cfg};
+  };
+  for (const double rate : {0.0, -1e6, std::numeric_limits<double>::infinity(),
+                            std::numeric_limits<double>::quiet_NaN(), 1e300}) {
+    EXPECT_THROW(make(rate, 1000), std::invalid_argument) << rate;
+  }
+  EXPECT_THROW(make(1e6, 0), std::invalid_argument);
+  EXPECT_THROW(make(1e6, -1), std::invalid_argument);
+  EXPECT_NO_THROW(make(1e6, 1000));
+}
+
 TEST(UdpSource, PoissonGapsPreserveMeanRate) {
   sim::Simulation sim{9};
   net::Dumbbell topo{sim, small_topo(1)};
