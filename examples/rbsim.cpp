@@ -79,6 +79,10 @@
 //                         exception, dump recent trace events, a metrics
 //                         snapshot, and live queue/scheduler state as
 //                         deterministic JSON to PATH (single-point runs)
+//
+// A key not listed here, or a pair that is not key=value (such as "=5"),
+// prints one diagnostic and exits 2, on the command line and in a config
+// file alike, so a typo never silently runs the defaults.
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -86,6 +90,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -110,13 +115,31 @@ namespace {
 
 using KeyValues = std::map<std::string, std::string>;
 
+/// Every key the header above documents; flags such as --metrics map onto
+/// these too.
+const std::set<std::string>& known_keys() {
+  static const std::set<std::string> keys{
+      "backend", "buffer", "cca", "delack", "duration", "ecn", "faults", "flow_len",
+      "flow_stats", "flows", "metrics", "mode", "pacing", "paranoia", "post_mortem",
+      "profile", "rate_mbps", "red", "sample_interval", "seed", "short_load", "threads",
+      "trace", "trace_out", "warmup"};
+  return keys;
+}
+
+/// Stores one key=value pair. A token that is not key=value, or names a key
+/// rbsim does not know (a typo would otherwise silently run the default),
+/// throws, which rbsim reports as one diagnostic line and exit code 2.
 void parse_pair(const std::string& token, KeyValues& out) {
   const auto eq = token.find('=');
   if (eq == std::string::npos || eq == 0) {
-    std::fprintf(stderr, "rbsim: ignoring malformed option '%s'\n", token.c_str());
-    return;
+    throw std::invalid_argument("malformed option '" + token + "' (want key=value)");
   }
-  out[token.substr(0, eq)] = token.substr(eq + 1);
+  std::string key = token.substr(0, eq);
+  if (known_keys().count(key) == 0) {
+    throw std::invalid_argument("unknown key '" + key +
+                                "' (see the header of examples/rbsim.cpp for the key list)");
+  }
+  out[std::move(key)] = token.substr(eq + 1);
 }
 
 bool load_config_file(const std::string& path, KeyValues& out) {

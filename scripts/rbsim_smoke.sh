@@ -12,7 +12,9 @@
 #     same output as with cca=newreno (the flavor reaches their senders)
 #   - trace replay: a generated trace replayed under the invariant auditor
 #     must complete every flow
-#   - hostile inputs: each must print one diagnostic and exit 2 within 10 s
+#   - hostile inputs (including unknown keys and malformed pairs, on the
+#     command line or in a config file): each must print one diagnostic and
+#     exit 2 within 10 s
 #
 # Usage: scripts/rbsim_smoke.sh   (from anywhere; takes no options)
 set -euo pipefail
@@ -117,6 +119,8 @@ fi
 
 echo "--- rbsim smoke: hostile inputs ---"
 mkdir -p build/hostile_smoke
+# A misspelt key in a config file must be rejected like one on the command line.
+printf 'flows=5 duration=1\nwarmup=0.5 duraton=1\n' > build/hostile_smoke/typo.cfg
 hostile=(
   "mode=short short_load=0"
   "mode=short short_load=inf"
@@ -135,6 +139,9 @@ hostile=(
   "rate_mbps=1e-300 duration=1 warmup=1 flows=5"
   "duration=1e300 warmup=1 flows=5"
   "--metrics build/hostile_smoke/m.json sample_interval=1e300 duration=1 warmup=1 flows=5"
+  "flows=5 duraton=1 warmup=0.5 duration=1 bogus=7"
+  "=5 flows=5 duration=1 warmup=0.5"
+  "build/hostile_smoke/typo.cfg"
 )
 for args in "${hostile[@]}"; do
   status=0

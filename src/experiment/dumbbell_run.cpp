@@ -168,8 +168,7 @@ TelemetryResult DumbbellRun::finish() {
 
 std::int64_t DumbbellRun::peak_backlog_packets() noexcept {
   const auto* queue = dynamic_cast<const net::DropTailQueue*>(&topo.bottleneck().queue());
-  if (queue == nullptr || !queue->limit_bytes().is_zero()) return -1;
-  return queue->peak_backlog_packets();
+  return queue == nullptr ? -1 : queue->peak_backlog_packets();
 }
 
 std::int64_t bisect_buffer(std::int64_t lo, std::int64_t hi,

@@ -145,8 +145,8 @@ class DumbbellRun {
   /// Survival function P(Q >= b), b = index, of the sampled occupancy.
   [[nodiscard]] std::vector<double> queue_tail() const;
   /// Largest backlog any arrival found at the bottleneck over the whole
-  /// run, warm-up included; -1 unless the bottleneck is drop-tail without a
-  /// byte ceiling, the one queue whose drops this number alone decides.
+  /// run, warm-up included; -1 unless the bottleneck is drop-tail, the one
+  /// queue whose drops this number alone decides.
   [[nodiscard]] std::int64_t peak_backlog_packets() noexcept;
 
   /// Exports the convergence gauges and closes the telemetry.

@@ -14,7 +14,8 @@ ExperimentTelemetry::ExperimentTelemetry(sim::Simulation& sim, const TelemetryCo
     sim_.set_profiler(profiler_.get());
   }
   if (config_.metrics) {
-    sampler_ = std::make_unique<telemetry::MetricsSampler>(sim_, config_.sample_interval);
+    ticker_ = std::make_unique<stats::PeriodicTicker>(sim_, config_.sample_interval,
+                                                      [this] { sample_row(); });
   }
   if (config_.flow_stats) {
     telemetry::FlowStatsHub::Config fs;
@@ -37,67 +38,81 @@ ExperimentTelemetry::~ExperimentTelemetry() {
 }
 
 void ExperimentTelemetry::add_bottleneck_probes(net::Link& bottleneck) {
-  if (!sampler_) return;
+  if (!sampling()) return;
   const double interval_sec = config_.sample_interval.to_seconds();
 
-  sampler_->add_probe("queue_depth_pkts", [&bottleneck] {
+  add_probe("queue_depth_pkts", [&bottleneck] {
     return static_cast<double>(bottleneck.occupancy_packets());
   });
 
   // Delta-based rates: each sample covers exactly the last interval, so the
   // column mean over the measurement window telescopes to the window-wide
   // rate (the utilization cross-check test relies on this).
-  sampler_->add_probe("utilization",
-                      [&bottleneck, interval_sec, prev = bottleneck.stats().bits_delivered,
-                       rate = bottleneck.rate_bps()]() mutable {
-                        const std::uint64_t bits = bottleneck.stats().bits_delivered;
-                        const double delta = static_cast<double>(bits - prev);
-                        prev = bits;
-                        return delta / (rate * interval_sec);
-                      });
+  add_probe("utilization", [&bottleneck, interval_sec, prev = bottleneck.stats().bits_delivered,
+                            rate = bottleneck.rate_bps()]() mutable {
+    const std::uint64_t bits = bottleneck.stats().bits_delivered;
+    const double delta = static_cast<double>(bits - prev);
+    prev = bits;
+    return delta / (rate * interval_sec);
+  });
 
-  sampler_->add_probe("drop_rate_pps",
-                      [&bottleneck, interval_sec,
-                       prev = bottleneck.queue().stats().dropped_packets]() mutable {
-                        const std::uint64_t drops = bottleneck.queue().stats().dropped_packets;
-                        const double delta = static_cast<double>(drops - prev);
-                        prev = drops;
-                        return delta / interval_sec;
-                      });
+  add_probe("drop_rate_pps", [&bottleneck, interval_sec,
+                              prev = bottleneck.queue().stats().dropped_packets]() mutable {
+    const std::uint64_t drops = bottleneck.queue().stats().dropped_packets;
+    const double delta = static_cast<double>(drops - prev);
+    prev = drops;
+    return delta / interval_sec;
+  });
 
   if (const auto* red = dynamic_cast<const net::RedQueue*>(&bottleneck.queue())) {
-    sampler_->add_probe("mark_rate_pps",
-                        [red, interval_sec, prev = red->marked_packets()]() mutable {
-                          const std::uint64_t marks = red->marked_packets();
-                          const double delta = static_cast<double>(marks - prev);
-                          prev = marks;
-                          return delta / interval_sec;
-                        });
+    add_probe("mark_rate_pps", [red, interval_sec, prev = red->marked_packets()]() mutable {
+      const std::uint64_t marks = red->marked_packets();
+      const double delta = static_cast<double>(marks - prev);
+      prev = marks;
+      return delta / interval_sec;
+    });
   }
 
   // Scheduler health on the same cadence: live events track workload churn.
-  sampler_->add_probe("events_pending",
-                      [&sim = sim_] { return static_cast<double>(sim.scheduler().pending_events()); });
+  add_probe("events_pending",
+            [&sim = sim_] { return static_cast<double>(sim.scheduler().pending_events()); });
 
   // With flow stats on, track the rollup as it fills: how many flows have
   // reported, and the running median FCT. Constant columns for long-flow
   // runs (which harvest at measurement end), live for short-flow runs.
   if (flow_stats_) {
-    sampler_->add_probe("flows_observed", [hub = flow_stats_.get()] {
+    add_probe("flows_observed", [hub = flow_stats_.get()] {
       return static_cast<double>(hub->flows());
     });
-    sampler_->add_probe("fct_p50_sec",
-                        [hub = flow_stats_.get()] { return hub->fct().quantile(0.50); });
+    add_probe("fct_p50_sec", [hub = flow_stats_.get()] { return hub->fct().quantile(0.50); });
   }
 }
 
 void ExperimentTelemetry::add_probe(std::string column, std::function<double()> probe) {
-  if (!sampler_) return;
-  sampler_->add_probe(std::move(column), std::move(probe));
+  if (!sampling()) return;
+  telemetry::TraceSession* tr = sim_.trace();
+  trace_names_.push_back(tr != nullptr ? tr->intern(column) : nullptr);
+  series_.columns.push_back(std::move(column));
+  probes_.push_back(std::move(probe));
 }
 
 void ExperimentTelemetry::start(sim::SimTime first) {
-  if (sampler_) sampler_->start(first);
+  if (ticker_) ticker_->start(first);
+}
+
+void ExperimentTelemetry::sample_row() {
+  const sim::SimTime now = sim_.now();
+  std::vector<double> row;
+  row.reserve(probes_.size());
+  for (std::size_t i = 0; i < probes_.size(); ++i) {
+    const double v = probes_[i]();
+    row.push_back(v);
+    if (trace_names_[i] != nullptr) {
+      RBS_TRACE_COUNTER(sim_.trace(), "metrics", trace_names_[i], now, v);
+    }
+  }
+  series_.times_ps.push_back(now.ps());
+  series_.rows.push_back(std::move(row));
 }
 
 void ExperimentTelemetry::record_tcp_flow(const tcp::TcpSource& src, sim::SimTime now) {
@@ -211,7 +226,10 @@ TelemetryResult ExperimentTelemetry::finish() {
     out.flow_stats_collected = true;
     out.collected = true;
   }
-  if (sampler_) out.series = sampler_->take();
+  if (ticker_) {
+    ticker_->stop();
+    out.series = std::move(series_);
+  }
   out.snapshot = registry.snapshot();
   return out;
 }

@@ -24,17 +24,18 @@
 #include <memory>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "check/auditor.hpp"
 #include "net/link.hpp"
 #include "sim/simulation.hpp"
+#include "stats/time_series.hpp"
 #include "tcp/tcp_source.hpp"
 #include "telemetry/convergence.hpp"
 #include "telemetry/flight_recorder.hpp"
 #include "telemetry/flow_stats.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/profiler.hpp"
-#include "telemetry/sampler.hpp"
 #include "telemetry/trace.hpp"
 
 namespace rbs::experiment {
@@ -83,14 +84,15 @@ class ExperimentTelemetry {
   ExperimentTelemetry& operator=(const ExperimentTelemetry&) = delete;
 
   /// True when the sampled series is being collected.
-  [[nodiscard]] bool sampling() const noexcept { return sampler_ != nullptr; }
+  [[nodiscard]] bool sampling() const noexcept { return ticker_ != nullptr; }
 
   /// Registers the standard bottleneck columns (queue depth, utilization,
   /// drop rate, and — for RED — mark rate). Call after the topology exists
   /// and counters have been reset for the measurement window.
   void add_bottleneck_probes(net::Link& bottleneck);
 
-  /// Registers an extra column (e.g. cwnd_total_pkts).
+  /// Registers an extra column (e.g. cwnd_total_pkts). Columns are sampled
+  /// in registration order; no-op unless sampling.
   void add_probe(std::string column, std::function<double()> probe);
 
   /// Begins sampling; the first row lands at `first`.
@@ -132,9 +134,17 @@ class ExperimentTelemetry {
   [[nodiscard]] TelemetryResult finish();
 
  private:
+  /// One row of the series: every probe in column order. With a trace
+  /// attached, each value is also emitted as a counter event so the series
+  /// render as counter tracks on the packet timeline.
+  void sample_row();
+
   sim::Simulation& sim_;
   TelemetryConfig config_;
-  std::unique_ptr<telemetry::MetricsSampler> sampler_;
+  std::vector<std::function<double()>> probes_;
+  std::vector<const char*> trace_names_;  ///< interned column names; null untraced
+  telemetry::SeriesTable series_;
+  std::unique_ptr<stats::PeriodicTicker> ticker_;  ///< null unless config.metrics
   std::unique_ptr<telemetry::EngineProfiler> profiler_;
   std::unique_ptr<telemetry::FlowStatsHub> flow_stats_;
   std::unique_ptr<telemetry::FlightRecorder> recorder_;

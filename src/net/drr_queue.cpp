@@ -6,16 +6,10 @@
 #include <string>
 #include <vector>
 
-#include "check/invariant.hpp"
-
 namespace rbs::net {
 
 DrrQueue::DrrQueue(std::int64_t limit_packets, core::Bytes quantum)
-    : limit_{limit_packets}, quantum_{quantum.count()} {
-  if (limit_packets < 0) {
-    throw std::invalid_argument("DrrQueue: negative packet limit " +
-                                std::to_string(limit_packets));
-  }
+    : Queue{limit_packets, 0, "DrrQueue"}, quantum_{quantum.count()} {
   if (quantum.count() < 1) {
     throw std::invalid_argument("DrrQueue: quantum must be >= 1 byte, got " +
                                 std::to_string(quantum.count()));
@@ -23,7 +17,7 @@ DrrQueue::DrrQueue(std::int64_t limit_packets, core::Bytes quantum)
 }
 
 bool DrrQueue::enqueue(const Packet& p) {
-  if (total_packets_ >= limit_) {
+  if (full()) {
     // Longest-queue drop: evict from the flow hogging the pool. Scan the
     // round-robin list, not the hash map — iteration order of the map
     // depends on hashing internals, so ties between equally long backlogs
@@ -41,19 +35,12 @@ bool DrrQueue::enqueue(const Packet& p) {
     }
     if (longest == flows_.end() || longest->first == p.flow) {
       // Nothing to evict, or the arrival itself belongs to the hog.
-      ++stats_.dropped_packets;
-      stats_.dropped_bytes += static_cast<std::uint64_t>(p.size_bytes);
+      reject(p);
       return false;
     }
-    const Packet& victim = longest->second.fifo.back();
-    ++stats_.dropped_packets;
-    stats_.dropped_bytes += static_cast<std::uint64_t>(victim.size_bytes);
     // The victim was accepted earlier, so it leaves the conservation law via
     // the evicted_* side rather than dequeued_*.
-    ++stats_.evicted_packets;
-    stats_.evicted_bytes += static_cast<std::uint64_t>(victim.size_bytes);
-    total_bytes_ -= victim.size_bytes;
-    --total_packets_;
+    evict(longest->second.fifo.back());
     longest->second.fifo.pop_back();
     if (longest->second.fifo.empty()) {
       active_.remove(longest->first);
@@ -67,11 +54,7 @@ bool DrrQueue::enqueue(const Packet& p) {
     active_.push_back(p.flow);
   }
   it->second.fifo.push_back(p);
-  ++total_packets_;
-  total_bytes_ += p.size_bytes;
-  ++stats_.enqueued_packets;
-  stats_.enqueued_bytes += static_cast<std::uint64_t>(p.size_bytes);
-  RBS_INVARIANT(total_packets_ <= limit_, "occupancy exceeds the buffer limit after enqueue");
+  admit(p);
   return true;
 }
 
@@ -96,12 +79,7 @@ std::optional<Packet> DrrQueue::dequeue() {
     Packet p = state.fifo.front();
     state.fifo.pop_front();
     state.deficit -= p.size_bytes;
-    --total_packets_;
-    total_bytes_ -= p.size_bytes;
-    ++stats_.dequeued_packets;
-    stats_.dequeued_bytes += static_cast<std::uint64_t>(p.size_bytes);
-    RBS_INVARIANT(total_packets_ >= 0 && total_bytes_ >= 0,
-                  "occupancy counters went negative on dequeue");
+    depart(p);
 
     if (state.fifo.empty()) {
       // Flow leaves the round; per DRR it forfeits its remaining deficit.
@@ -112,17 +90,6 @@ std::optional<Packet> DrrQueue::dequeue() {
     return p;
   }
   return std::nullopt;
-}
-
-void DrrQueue::set_limit_packets(std::int64_t limit) {
-  if (limit < 0) {
-    throw std::invalid_argument("DrrQueue: negative packet limit " +
-                                std::to_string(limit));
-  }
-  // Lowering below the current occupancy never evicts retroactively; the
-  // next enqueue sees total_packets_ >= limit_ and applies longest-queue
-  // drop as usual.
-  limit_ = limit;
 }
 
 void DrrQueue::audit(check::AuditReport& report) const {
@@ -143,12 +110,7 @@ void DrrQueue::audit(check::AuditReport& report) const {
       report.violation("flow " + std::to_string(flow) + " registered with an empty FIFO");
     }
   }
-  if (actual_packets != total_packets_ || actual_bytes != total_bytes_) {
-    report.violation("cached totals " + std::to_string(total_packets_) + " pkts/" +
-                     std::to_string(total_bytes_) + " B != per-flow contents " +
-                     std::to_string(actual_packets) + " pkts/" + std::to_string(actual_bytes) +
-                     " B");
-  }
+  audit_resident(actual_packets, actual_bytes, report);
   // The round-robin list and the flow map must describe the same flow set,
   // with each backlogged flow appearing in the round exactly once.
   if (active_.size() != flows_.size()) {

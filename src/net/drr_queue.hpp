@@ -25,7 +25,8 @@ namespace rbs::net {
 class DrrQueue final : public Queue {
  public:
   /// `limit_packets`: shared buffer pool. `quantum`: per-round byte
-  /// allowance per flow (use ~one MTU).
+  /// allowance per flow (use ~one MTU). A negative limit or a quantum below
+  /// one byte throws std::invalid_argument.
   explicit DrrQueue(std::int64_t limit_packets, core::Bytes quantum = core::Bytes{1500});
 
   /// Accepts `p` unless the arriving flow itself holds the longest backlog;
@@ -34,19 +35,10 @@ class DrrQueue final : public Queue {
   bool enqueue(const Packet& p) override;
   std::optional<Packet> dequeue() override;
 
-  [[nodiscard]] std::int64_t size_packets() const noexcept override { return total_packets_; }
-  [[nodiscard]] std::int64_t size_bytes() const noexcept override { return total_bytes_; }
-  [[nodiscard]] std::int64_t limit_packets() const noexcept override { return limit_; }
-
-  /// Throws std::invalid_argument on a negative limit. Lowering below the
-  /// current occupancy keeps resident packets (no retroactive eviction);
-  /// arrivals trigger longest-queue drops until the backlog fits.
-  void set_limit_packets(std::int64_t limit) override;
-
   /// Number of flows currently backlogged.
   [[nodiscard]] std::size_t active_flows() const noexcept { return flows_.size(); }
 
-  /// Conservation laws plus DRR bookkeeping: cached packet/byte totals match
+  /// Conservation laws plus DRR bookkeeping: the cached occupancy matches
   /// the per-flow FIFOs, the active list and flow map agree exactly, and no
   /// registered flow has an empty FIFO.
   void audit(check::AuditReport& report) const override;
@@ -57,10 +49,7 @@ class DrrQueue final : public Queue {
     std::int64_t deficit{0};
   };
 
-  std::int64_t limit_;
   std::int64_t quantum_;
-  std::int64_t total_packets_{0};
-  std::int64_t total_bytes_{0};
 
   /// Keyed store only: every result-affecting walk (eviction victim scan,
   /// DRR service) iterates `active_`, and audit() sorts the keys first.

@@ -2,27 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
-#include <stdexcept>
 #include <string>
-
-#include "check/invariant.hpp"
 
 namespace rbs::net {
 
 RedQueue::RedQueue(sim::Simulation& sim, std::int64_t limit_packets, RedConfig config)
-    : sim_{sim}, limit_{limit_packets}, cfg_{config} {
-  if (limit_packets < 1) {
-    throw std::invalid_argument("RedQueue: packet limit must be >= 1, got " +
-                                std::to_string(limit_packets));
-  }
-  min_th_ = cfg_.min_threshold > 0 ? cfg_.min_threshold
-                                   : std::max(1.0, static_cast<double>(limit_) / 4.0);
+    : Queue{limit_packets, 1, "RedQueue"}, sim_{sim}, cfg_{config} {
+  const auto limit = static_cast<double>(limit_packets);
+  min_th_ = cfg_.min_threshold > 0 ? cfg_.min_threshold : std::max(1.0, limit / 4.0);
   max_th_ = cfg_.max_threshold > 0 ? cfg_.max_threshold
-                                   : std::max(min_th_ + 1.0, 3.0 * static_cast<double>(limit_) / 4.0);
+                                   : std::max(min_th_ + 1.0, 3.0 * limit / 4.0);
 }
 
 void RedQueue::update_average() noexcept {
-  const auto q = static_cast<double>(fifo_.size());
+  const auto q = static_cast<double>(size_packets());
   if (idle_ && cfg_.mean_packet_time_sec > 0) {
     // While the queue was idle, pretend m small packets departed and decay
     // the average accordingly (Floyd's idle-period correction).
@@ -54,8 +47,7 @@ double RedQueue::drop_probability() const noexcept {
 }
 
 void RedQueue::record_drop(const Packet& p, bool early) noexcept {
-  ++stats_.dropped_packets;
-  stats_.dropped_bytes += static_cast<std::uint64_t>(p.size_bytes);
+  reject(p);
   if (early) ++early_drops_;
   count_since_drop_ = 0;
 }
@@ -63,7 +55,7 @@ void RedQueue::record_drop(const Packet& p, bool early) noexcept {
 bool RedQueue::enqueue(const Packet& p) {
   update_average();
 
-  if (static_cast<std::int64_t>(fifo_.size()) >= limit_) {
+  if (full()) {
     record_drop(p, /*early=*/false);
     return false;
   }
@@ -88,19 +80,10 @@ bool RedQueue::enqueue(const Packet& p) {
     count_since_drop_ = -1;
   }
 
-  if (mark) {
-    Packet marked_pkt = p;
-    marked_pkt.ecn_ce = true;
-    fifo_.push_back(marked_pkt);
-    bytes_ += p.size_bytes;
-    ++stats_.enqueued_packets;
-    stats_.enqueued_bytes += static_cast<std::uint64_t>(p.size_bytes);
-    return true;
-  }
-  fifo_.push_back(p);
-  bytes_ += p.size_bytes;
-  ++stats_.enqueued_packets;
-  stats_.enqueued_bytes += static_cast<std::uint64_t>(p.size_bytes);
+  Packet queued = p;
+  if (mark) queued.ecn_ce = true;
+  fifo_.push_back(queued);
+  admit(queued);
   return true;
 }
 
@@ -108,28 +91,12 @@ std::optional<Packet> RedQueue::dequeue() {
   if (fifo_.empty()) return std::nullopt;
   Packet p = fifo_.front();
   fifo_.pop_front();
-  bytes_ -= p.size_bytes;
-  ++stats_.dequeued_packets;
-  stats_.dequeued_bytes += static_cast<std::uint64_t>(p.size_bytes);
-  RBS_INVARIANT(bytes_ >= 0, "byte counter went negative on dequeue");
+  depart(p);
   if (fifo_.empty()) {
     idle_ = true;
     idle_since_ = sim_.now();
   }
   return p;
-}
-
-void RedQueue::set_limit_packets(std::int64_t limit) {
-  if (limit < 1) {
-    throw std::invalid_argument("RedQueue: packet limit must be >= 1, got " +
-                                std::to_string(limit));
-  }
-  // Lowering below the current occupancy is legal: resident packets drain
-  // naturally, enqueue() rejects arrivals until the backlog fits again.
-  limit_ = limit;
-  if (cfg_.min_threshold <= 0) min_th_ = std::max(1.0, static_cast<double>(limit_) / 4.0);
-  if (cfg_.max_threshold <= 0)
-    max_th_ = std::max(min_th_ + 1.0, 3.0 * static_cast<double>(limit_) / 4.0);
 }
 
 void RedQueue::audit(check::AuditReport& report) const {
@@ -140,16 +107,13 @@ void RedQueue::audit(check::AuditReport& report) const {
     actual_bytes += p.size_bytes;
     if (p.ecn_ce) ++ce_in_queue;
   }
-  if (actual_bytes != bytes_) {
-    report.violation("cached byte counter " + std::to_string(bytes_) +
-                     " != FIFO contents " + std::to_string(actual_bytes) + " bytes");
-  }
+  audit_resident(static_cast<std::int64_t>(fifo_.size()), actual_bytes, report);
   if (!std::isfinite(avg_) || avg_ < 0.0) {
     report.violation("EWMA average queue is invalid: " + std::to_string(avg_));
   }
-  if (early_drops_ > stats_.dropped_packets) {
+  if (early_drops_ > stats().dropped_packets) {
     report.violation("early drops " + std::to_string(early_drops_) +
-                     " exceed total drops " + std::to_string(stats_.dropped_packets));
+                     " exceed total drops " + std::to_string(stats().dropped_packets));
   }
   if (!cfg_.ecn_marking && (marked_ != 0 || ce_in_queue != 0)) {
     report.violation("CE marks present with ECN marking disabled (" +

@@ -7,7 +7,6 @@
 // variant's second ramp between max_th and 2*max_th.
 #pragma once
 
-
 #include "net/packet_ring.hpp"
 #include "net/queue.hpp"
 #include "sim/simulation.hpp"
@@ -32,33 +31,30 @@ struct RedConfig {
 /// FIFO queue with probabilistic early dropping.
 class RedQueue final : public Queue {
  public:
+  /// Throws std::invalid_argument unless `limit_packets >= 1` (RED derives
+  /// its thresholds from a nonzero buffer).
   RedQueue(sim::Simulation& sim, std::int64_t limit_packets, RedConfig config = {});
 
   bool enqueue(const Packet& p) override;
   std::optional<Packet> dequeue() override;
 
-  [[nodiscard]] std::int64_t size_packets() const noexcept override {
-    return static_cast<std::int64_t>(fifo_.size());
-  }
-  [[nodiscard]] std::int64_t size_bytes() const noexcept override { return bytes_; }
-  [[nodiscard]] std::int64_t limit_packets() const noexcept override { return limit_; }
-
-  /// Throws std::invalid_argument unless limit >= 1 (RED needs a nonzero
-  /// buffer for its thresholds). Lowering below the current occupancy never
-  /// drops resident packets; arrivals are rejected until the backlog
-  /// drains. Auto-derived thresholds are recomputed for the new limit.
-  void set_limit_packets(std::int64_t limit) override;
-
   /// Current EWMA of the queue length, in packets.
   [[nodiscard]] double average_queue() const noexcept { return avg_; }
 
-  /// Early (probabilistic) drops, excluding forced overflow drops.
+  /// Early (probabilistic) drops since the last reset_stats(), excluding
+  /// forced overflow drops.
   [[nodiscard]] std::uint64_t early_drops() const noexcept { return early_drops_; }
+
+  /// Also zeroes early_drops(), a subset of stats().dropped_packets.
+  void reset_stats() noexcept override {
+    Queue::reset_stats();
+    early_drops_ = 0;
+  }
 
   /// Packets marked CE instead of dropped (ECN mode only).
   [[nodiscard]] std::uint64_t marked_packets() const noexcept { return marked_; }
 
-  /// Conservation laws plus RED-specific checks: the cached byte counter
+  /// Conservation laws plus RED-specific checks: the cached occupancy
   /// matches the FIFO, the EWMA is finite and non-negative, early drops
   /// never exceed total drops, and ECN marks only appear in marking mode.
   void audit(check::AuditReport& report) const override;
@@ -69,13 +65,11 @@ class RedQueue final : public Queue {
   void record_drop(const Packet& p, bool early) noexcept;
 
   sim::Simulation& sim_;
-  std::int64_t limit_;
   RedConfig cfg_;
   double min_th_;
   double max_th_;
 
   PacketRing fifo_;
-  std::int64_t bytes_{0};
   double avg_{0.0};
   std::int64_t count_since_drop_{-1};  // -1: no packet since last drop
   sim::SimTime idle_since_{sim::SimTime::zero()};

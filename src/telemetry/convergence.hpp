@@ -11,9 +11,10 @@
 // Two consumers:
 //   - Metrics: convergence.* gauges in every snapshot (converged, the time
 //     it happened, windows seen) so runs document their own settling time.
-//   - Early exit: the bisection harness may opt in (see
-//     LongFlowExperimentConfig::convergence_early_exit) to stop a probe run
-//     at convergence. Opt-in only — the default run is a single
+//   - Early exit: a long- or short-flow run may opt in (see
+//     LongFlowExperimentConfig::convergence_early_exit) to stop at
+//     convergence. Mixed runs have no such switch, and the bisection
+//     harness never sets it. Opt-in only — the default run is a single
 //     sim.run_until(end), so goldens stay byte-identical — and any
 //     truncation is recorded in the telemetry (convergence.truncated).
 //

@@ -193,8 +193,9 @@ class MetricsRegistry {
   std::map<std::string, Metric> metrics_;
 };
 
-/// Multi-column sampled time series — the table a MetricsSampler fills, one
-/// row per tick. Pure data so experiment results can carry it by value.
+/// Multi-column sampled time series — the table an experiment's telemetry
+/// fills, one row per sampling tick. Pure data so experiment results can
+/// carry it by value.
 struct SeriesTable {
   std::vector<std::string> columns;
   std::vector<std::int64_t> times_ps;

@@ -171,17 +171,6 @@ TEST(DrrQueue, EvictionAndServiceOrderIdenticalAcrossRuns) {
   EXPECT_FALSE(first.empty());
 }
 
-TEST(DrrQueue, AuditCleanAfterHeavyChurn) {
-  DrrQueue q{8};
-  for (int i = 0; i < 200; ++i) {
-    q.enqueue(make_packet(1 + i % 5, i));
-    if (i % 2 == 0) q.dequeue();
-  }
-  check::AuditReport report;
-  q.audit(report);
-  EXPECT_TRUE(report.clean()) << (report.messages().empty() ? "" : report.messages()[0]);
-}
-
 TEST(DrrQueue, ImprovesInterFlowFairnessEndToEnd) {
   // Same sqrt-rule buffer, drop-tail vs DRR: DRR should raise the Jain
   // index across heterogeneous-RTT flows (it shields short-RTT flows from

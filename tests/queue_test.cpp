@@ -1,8 +1,9 @@
-// Unit tests for the drop-tail and RED queue disciplines and the packet
-// ring they store packets in.
+// Unit tests for the drop-tail and RED queue disciplines, the accounting
+// all disciplines share, and the packet ring they store packets in.
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "core/units.hpp"
@@ -131,71 +132,75 @@ TEST(DropTailQueue, DropFractionComputation) {
   EXPECT_DOUBLE_EQ(q.stats().drop_fraction(), 0.5);
 }
 
-TEST(DropTailQueue, ShrinkingLimitKeepsQueuedPackets) {
-  DropTailQueue q{5};
-  for (int i = 0; i < 5; ++i) q.enqueue(make_packet(i));
-  q.set_limit_packets(2);
-  EXPECT_EQ(q.size_packets(), 5);          // existing packets drain naturally
-  EXPECT_FALSE(q.enqueue(make_packet(9))); // but no new ones fit
-  for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.dequeue().has_value());
-  EXPECT_TRUE(q.enqueue(make_packet(10)));
-}
-
-TEST(DropTailByteLimit, EnforcesByteCeiling) {
-  DropTailQueue q{100, /*limit_bytes=*/core::Bytes{2500}};
-  Packet p;
-  p.size_bytes = 1000;
-  EXPECT_TRUE(q.enqueue(p));
-  EXPECT_TRUE(q.enqueue(p));
-  EXPECT_FALSE(q.enqueue(p));  // 3000 > 2500
-  p.size_bytes = 400;
-  EXPECT_TRUE(q.enqueue(p));  // 2400 fits
-  EXPECT_EQ(q.size_bytes(), 2400);
-  EXPECT_EQ(q.stats().dropped_packets, 1u);
-}
-
-TEST(DropTailByteLimit, ZeroMeansUnlimited) {
-  DropTailQueue q{3};
-  Packet p;
-  p.size_bytes = 1'000'000;
-  EXPECT_TRUE(q.enqueue(p));
-  EXPECT_TRUE(q.enqueue(p));
-  EXPECT_TRUE(q.enqueue(p));
-  EXPECT_FALSE(q.enqueue(p));  // packet limit still applies
-}
-
 TEST(QueueLimitValidation, NegativeLimitsAreRejectedEverywhere) {
   EXPECT_THROW(net::DropTailQueue(-1), std::invalid_argument);
-  EXPECT_THROW(net::DropTailQueue(10, core::Bytes{-1}), std::invalid_argument);
-
-  DropTailQueue q{10};
-  EXPECT_THROW(q.set_limit_packets(-1), std::invalid_argument);
-  EXPECT_THROW(q.set_limit_bytes(core::Bytes{-1}), std::invalid_argument);
-  EXPECT_EQ(q.limit_packets(), 10);  // failed setters leave the queue unchanged
 
   sim::Simulation sim{1};
   EXPECT_THROW(net::RedQueue(sim, 0), std::invalid_argument);
   EXPECT_THROW(net::RedQueue(sim, -5), std::invalid_argument);
-  RedQueue red{sim, 10};
-  EXPECT_THROW(red.set_limit_packets(0), std::invalid_argument);
-  EXPECT_EQ(red.limit_packets(), 10);
 
   EXPECT_THROW(net::DrrQueue(-1), std::invalid_argument);
   EXPECT_THROW(net::DrrQueue(10, core::Bytes{0}), std::invalid_argument);
-  DrrQueue drr{10};
-  EXPECT_THROW(drr.set_limit_packets(-1), std::invalid_argument);
-  EXPECT_EQ(drr.limit_packets(), 10);
 }
 
-TEST(QueueLimitValidation, LoweringRedLimitKeepsResidentPackets) {
-  sim::Simulation sim{1};
-  RedQueue q{sim, 10};
-  for (int i = 0; i < 8; ++i) ASSERT_TRUE(q.enqueue(make_packet(i)));
-  q.set_limit_packets(4);
-  EXPECT_EQ(q.size_packets(), 8);          // no retroactive drop
-  EXPECT_FALSE(q.enqueue(make_packet(9))); // but arrivals are rejected
-  while (q.size_packets() > 2) q.dequeue();
-  EXPECT_TRUE(q.enqueue(make_packet(10)));
+// Random arrivals and departures against every discipline, with a counter
+// reset halfway through: after every step the conservation law holds
+// against the public counters and the queue's own audit is clean. RED runs
+// with ECN marking and low thresholds, and a share of the arrivals are UDP,
+// which RED drops where it marks TCP data, so early drops and marks both
+// occur. DRR's five flows overflow the pool, so longest-queue eviction runs.
+TEST(QueueAccounting, SeededChurnKeepsEveryDisciplineConserved) {
+  sim::Simulation sim{42};
+  RedConfig red_cfg;
+  red_cfg.min_threshold = 2;
+  red_cfg.max_threshold = 5;
+  red_cfg.weight = 0.2;
+  red_cfg.ecn_marking = true;
+  DropTailQueue droptail{8};
+  RedQueue red{sim, 8, red_cfg};
+  DrrQueue drr{8};
+  const std::vector<std::pair<const char*, Queue*>> queues{
+      {"droptail", &droptail}, {"red", &red}, {"drr", &drr}};
+
+  constexpr int kSteps = 2000;
+  for (auto& [name, q] : queues) {
+    SCOPED_TRACE(name);
+    sim::Rng rng{7};
+    std::uint64_t carried_packets = 0;
+    std::uint64_t carried_bytes = 0;
+    for (int step = 0; step < kSteps; ++step) {
+      if (step == kSteps / 2) {
+        ASSERT_GT(q->size_packets(), 0);  // the reset must carry residents
+        q->reset_stats();
+        carried_packets = static_cast<std::uint64_t>(q->size_packets());
+        carried_bytes = static_cast<std::uint64_t>(q->size_bytes());
+      }
+      if (rng.bernoulli(0.6)) {
+        Packet p = make_packet(step, static_cast<std::int32_t>(rng.uniform_int(40, 1500)));
+        p.flow = static_cast<FlowId>(rng.uniform_int(1, 5));
+        if (rng.bernoulli(0.3)) p.kind = PacketKind::kUdp;
+        q->enqueue(p);
+      } else {
+        q->dequeue();
+      }
+      const QueueStats& st = q->stats();
+      ASSERT_EQ(st.enqueued_packets + carried_packets,
+                st.dequeued_packets + st.evicted_packets +
+                    static_cast<std::uint64_t>(q->size_packets()))
+          << "step " << step;
+      ASSERT_EQ(st.enqueued_bytes + carried_bytes,
+                st.dequeued_bytes + st.evicted_bytes + static_cast<std::uint64_t>(q->size_bytes()))
+          << "step " << step;
+      ASSERT_LE(q->size_packets(), q->limit_packets()) << "step " << step;
+      check::AuditReport report;
+      q->audit(report);
+      ASSERT_TRUE(report.clean()) << "step " << step << ": " << report.messages()[0];
+    }
+    EXPECT_GT(q->stats().dropped_packets, 0u);
+  }
+  EXPECT_GT(red.early_drops(), 0u);
+  EXPECT_GT(red.marked_packets(), 0u);
+  EXPECT_GT(drr.stats().evicted_packets, 0u);
 }
 
 TEST(DropTailQueue, ResetStatsClearsCounters) {
