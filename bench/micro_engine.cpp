@@ -6,6 +6,7 @@
 // Emit machine-readable numbers with --benchmark_format=json; the repo's
 // BENCH_engine.json tracks these results across engine changes.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include <cmath>
 #include <cstdint>
@@ -29,6 +30,13 @@ using namespace rbs;
 /// rather than being literal-seeded in place.
 constexpr std::uint64_t kBenchSeed = 1;
 constexpr std::uint64_t kRngBenchStream = 0xBE4C;
+
+/// Minor page faults this process has taken so far.
+long minor_page_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
 
 void BM_SchedulerScheduleRun(benchmark::State& state) {
   const auto n = state.range(0);
@@ -216,14 +224,20 @@ BENCHMARK(BM_DumbbellSimulatedSecond)->Arg(10)->Arg(50)->Unit(benchmark::kMillis
 void BM_DumbbellBuild(benchmark::State& state) {
   // Build and tear down a Simulation plus an N-leaf OC3 dumbbell: the
   // topology every experiment run (and bisection probe) assembles before
-  // its workload.
+  // its workload. Minor page faults per iteration are reported too: a
+  // nonzero count means the loop also times glibc handing the heap top back
+  // to the OS at teardown and faulting it in again at the next build.
   net::DumbbellConfig cfg;
   cfg.num_leaves = static_cast<int>(state.range(0));
+  const long faults_before = minor_page_faults();
   for (auto _ : state) {
     sim::Simulation sim{kBenchSeed};
     net::Dumbbell topo{sim, cfg};
     benchmark::DoNotOptimize(&topo);
   }
+  state.counters["minflt_per_iter"] =
+      static_cast<double>(minor_page_faults() - faults_before) /
+      static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_DumbbellBuild)->Arg(50)->Arg(500)->Unit(benchmark::kMicrosecond);
 

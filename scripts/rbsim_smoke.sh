@@ -12,6 +12,8 @@
 #     same output as with cca=newreno (the flavor reaches their senders)
 #   - trace replay: a generated trace replayed under the invariant auditor
 #     must complete every flow
+#   - largest world: 500 long flows built, audited and torn down (zero
+#     duration) under --paranoia must exit 0
 #   - hostile inputs (including unknown keys and malformed pairs, on the
 #     command line or in a config file): each must print one diagnostic and
 #     exit 2 within 10 s
@@ -114,6 +116,17 @@ for cca in newreno bbr; do
 done
 if cmp -s build/trace_smoke/out_newreno.txt build/trace_smoke/out_bbr.txt; then
   echo "rbsim_smoke: FATAL: mode=trace ignores cca= (bbr output == newreno output)" >&2
+  exit 1
+fi
+
+echo "--- rbsim smoke: largest world ---"
+mkdir -p build/largest_smoke
+status=0
+"$RBSIM" mode=long flows=500 warmup=0 duration=0 --paranoia \
+  >build/largest_smoke/out.txt 2>&1 || status=$?
+if [ "$status" -ne 0 ]; then
+  cat build/largest_smoke/out.txt >&2
+  echo "rbsim_smoke: FATAL: a 500-flow world under --paranoia exited $status, want 0" >&2
   exit 1
 fi
 

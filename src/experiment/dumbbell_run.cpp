@@ -50,7 +50,7 @@ void DumbbellRun::arm(const AuditParts& parts) {
   // empty schedule creates no injector and perturbs nothing.
   if (!controls_.faults.empty()) {
     injector_ = std::make_unique<fault::FaultInjector>(sim);
-    for (const auto& link : topo.links()) injector_->attach(*link);
+    for (net::Link& link : topo.links()) injector_->attach(link);
     injector_->arm(controls_.faults);
   }
   if (controls_.checked) {
@@ -144,7 +144,7 @@ double DumbbellRun::drop_fraction() noexcept {
 
 std::uint64_t DumbbellRun::fault_drops() noexcept {
   std::uint64_t total = 0;
-  for (const auto& link : topo.links()) total += link->fault_stats().total();
+  for (const net::Link& link : topo.links()) total += link.fault_stats().total();
   return total;
 }
 

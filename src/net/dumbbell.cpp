@@ -1,80 +1,96 @@
 #include "net/dumbbell.hpp"
 
-#include <cassert>
-
-#include "net/drr_queue.hpp"
+#include <stdexcept>
 #include <string>
 #include <utility>
+
+#include "net/drr_queue.hpp"
 
 namespace rbs::net {
 
 namespace {
+
 constexpr std::int32_t kReferencePacketBytes = 1000;
+
+/// `config`, once checked to describe a buildable dumbbell.
+DumbbellConfig validated(DumbbellConfig config) {
+  if (config.num_leaves < 1) {
+    throw std::invalid_argument("dumbbell: num_leaves must be >= 1, got " +
+                                std::to_string(config.num_leaves));
+  }
+  if (!config.access_delays.empty() &&
+      config.access_delays.size() != static_cast<std::size_t>(config.num_leaves)) {
+    throw std::invalid_argument("dumbbell: access_delays has " +
+                                std::to_string(config.access_delays.size()) +
+                                " entries for " + std::to_string(config.num_leaves) + " leaves");
+  }
+  if (config.access_delays.empty() && config.access_delay_min > config.access_delay_max) {
+    throw std::invalid_argument("dumbbell: access_delay_min exceeds access_delay_max");
+  }
+  return config;
 }
 
+}  // namespace
+
 Dumbbell::Dumbbell(sim::Simulation& sim, DumbbellConfig config)
-    : sim_{sim}, config_{std::move(config)} {
-  assert(config_.num_leaves >= 1);
+    : sim_{sim},
+      config_{validated(std::move(config))},
+      left_router_{sim_, 0, "left_router"},
+      right_router_{sim_, 1, "right_router"},
+      hosts_{2 * static_cast<std::size_t>(config_.num_leaves)},
+      queues_{1 + 4 * static_cast<std::size_t>(config_.num_leaves)},
+      links_{2 + 4 * static_cast<std::size_t>(config_.num_leaves)} {
+  const auto leaves = static_cast<std::size_t>(config_.num_leaves);
 
   // Per-leaf sender-side access delays.
   if (!config_.access_delays.empty()) {
-    assert(static_cast<int>(config_.access_delays.size()) == config_.num_leaves);
     leaf_delays_ = config_.access_delays;
   } else {
-    leaf_delays_.reserve(static_cast<std::size_t>(config_.num_leaves));
+    leaf_delays_.reserve(leaves);
     auto rng = sim_.rng().fork(/*stream=*/0x70706F6C);
     const auto lo = config_.access_delay_min.ps();
     const auto hi = config_.access_delay_max.ps();
-    for (int i = 0; i < config_.num_leaves; ++i) {
+    for (std::size_t i = 0; i < leaves; ++i) {
       leaf_delays_.push_back(
           sim::SimTime::picoseconds(hi > lo ? rng.uniform_int(lo, hi) : lo));
     }
   }
 
-  NodeId next_id = 0;
-  left_router_ = std::make_unique<Router>(sim_, next_id++, "left_router");
-  right_router_ = std::make_unique<Router>(sim_, next_id++, "right_router");
-
-  for (int i = 0; i < config_.num_leaves; ++i) {
-    senders_.push_back(
-        std::make_unique<Host>(sim_, next_id++, "sender_" + std::to_string(i)));
-    receivers_.push_back(
-        std::make_unique<Host>(sim_, next_id++, "receiver_" + std::to_string(i)));
+  NodeId next_id = 2;  // after the two routers
+  for (std::size_t i = 0; i < leaves; ++i) {
+    hosts_.emplace_back(sim_, next_id++, "sender_" + std::to_string(i));
+    hosts_.emplace_back(sim_, next_id++, "receiver_" + std::to_string(i));
   }
+  left_router_.size_table(next_id);
+  right_router_.size_table(next_id);
 
   // Bottleneck pair. Forward carries data (congested); reverse carries ACKs
   // and is provisioned to never drop.
-  {
-    Link::Config cfg{config_.bottleneck_rate, config_.bottleneck_delay};
-    auto queue = make_bottleneck_queue();
-    links_.push_back(std::make_unique<Link>(sim_, "bottleneck_fwd", cfg, std::move(queue),
-                                            *right_router_));
-    forward_bottleneck_ = links_.back().get();
-    reverse_bottleneck_ = &add_link("bottleneck_rev", cfg, *left_router_,
-                                    config_.reverse_buffer_packets);
-  }
-  left_router_->set_default_route(*forward_bottleneck_);
-  right_router_->set_default_route(*reverse_bottleneck_);
+  const Link::Config bottleneck_cfg{config_.bottleneck_rate, config_.bottleneck_delay};
+  links_.emplace_back(sim_, "bottleneck_fwd", bottleneck_cfg, make_bottleneck_queue(),
+                      right_router_);
+  add_link("bottleneck_rev", bottleneck_cfg, left_router_, config_.reverse_buffer_packets);
+  left_router_.set_default_route(bottleneck());
+  right_router_.set_default_route(reverse_bottleneck());
 
   // Access links, four per leaf (up/down on each side).
-  for (int i = 0; i < config_.num_leaves; ++i) {
-    const auto idx = static_cast<std::size_t>(i);
-    const Link::Config sender_cfg{config_.access_rate, leaf_delays_[idx]};
+  for (std::size_t i = 0; i < leaves; ++i) {
+    Host& snd = hosts_[2 * i];
+    Host& rcv = hosts_[2 * i + 1];
+    const Link::Config sender_cfg{config_.access_rate, leaf_delays_[i]};
     const Link::Config receiver_cfg{config_.access_rate, config_.receiver_delay};
+    const std::int64_t buffer = config_.uncongested_buffer_packets;
 
-    Link& sender_up = add_link("acc_up_" + std::to_string(i), sender_cfg, *left_router_,
-                               config_.uncongested_buffer_packets);
-    Link& sender_down = add_link("acc_down_" + std::to_string(i), sender_cfg, *senders_[idx],
-                                 config_.uncongested_buffer_packets);
-    Link& receiver_up = add_link("rcv_up_" + std::to_string(i), receiver_cfg, *right_router_,
-                                 config_.uncongested_buffer_packets);
-    Link& receiver_down = add_link("rcv_down_" + std::to_string(i), receiver_cfg,
-                                   *receivers_[idx], config_.uncongested_buffer_packets);
+    Link& sender_up = add_link("acc_up_" + std::to_string(i), sender_cfg, left_router_, buffer);
+    Link& sender_down = add_link("acc_down_" + std::to_string(i), sender_cfg, snd, buffer);
+    Link& receiver_up =
+        add_link("rcv_up_" + std::to_string(i), receiver_cfg, right_router_, buffer);
+    Link& receiver_down = add_link("rcv_down_" + std::to_string(i), receiver_cfg, rcv, buffer);
 
-    senders_[idx]->attach_uplink(sender_up);
-    receivers_[idx]->attach_uplink(receiver_up);
-    left_router_->add_route(senders_[idx]->id(), sender_down);
-    right_router_->add_route(receivers_[idx]->id(), receiver_down);
+    snd.attach_uplink(sender_up);
+    rcv.attach_uplink(receiver_up);
+    left_router_.add_route(snd.id(), sender_down);
+    right_router_.add_route(rcv.id(), receiver_down);
   }
 }
 
@@ -96,9 +112,7 @@ std::unique_ptr<Queue> Dumbbell::make_bottleneck_queue() {
 
 Link& Dumbbell::add_link(std::string name, Link::Config cfg, PacketSink& dst,
                          std::int64_t buffer) {
-  links_.push_back(std::make_unique<Link>(sim_, std::move(name), cfg,
-                                          std::make_unique<DropTailQueue>(buffer), dst));
-  return *links_.back();
+  return links_.emplace_back(sim_, std::move(name), cfg, queues_.emplace_back(buffer), dst);
 }
 
 sim::SimTime Dumbbell::rtt(int i) const {

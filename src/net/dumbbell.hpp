@@ -14,9 +14,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "core/object_block.hpp"
 #include "core/units.hpp"
 #include "net/drop_tail_queue.hpp"
 #include "net/link.hpp"
@@ -56,23 +58,29 @@ struct DumbbellConfig {
   std::int64_t reverse_buffer_packets{1'000'000};
 };
 
-/// Builds and owns all nodes and links of a dumbbell.
+/// Builds and owns all nodes, links and queues of a dumbbell. Hosts, links
+/// and access-link queues each live in one block sized from the config, so
+/// their addresses are stable for the topology's life; they are destroyed
+/// links first, then queues, hosts and routers (the reverse of
+/// construction). The bottleneck's policy queue is owned by its link.
 class Dumbbell {
  public:
+  /// Throws std::invalid_argument for a config no topology can be built
+  /// from: fewer than one leaf, `access_delays` neither empty nor one per
+  /// leaf, an access delay range with min > max (when it is drawn from),
+  /// or a link that net::Link rejects.
   Dumbbell(sim::Simulation& sim, DumbbellConfig config);
 
   [[nodiscard]] int num_leaves() const noexcept { return config_.num_leaves; }
   /// Leaf `i`'s hosts; throws std::out_of_range for a leaf that does not
   /// exist.
-  [[nodiscard]] Host& sender(int i) { return *senders_.at(static_cast<std::size_t>(i)); }
-  [[nodiscard]] Host& receiver(int i) {
-    return *receivers_.at(static_cast<std::size_t>(i));
-  }
+  [[nodiscard]] Host& sender(int i) { return hosts_.at(host_index(i)); }
+  [[nodiscard]] Host& receiver(int i) { return hosts_.at(host_index(i) + 1); }
 
   /// The congested direction (left → right): its queue is the buffer under
   /// study.
-  [[nodiscard]] Link& bottleneck() noexcept { return *forward_bottleneck_; }
-  [[nodiscard]] Link& reverse_bottleneck() noexcept { return *reverse_bottleneck_; }
+  [[nodiscard]] Link& bottleneck() noexcept { return links_[0]; }
+  [[nodiscard]] Link& reverse_bottleneck() noexcept { return links_[1]; }
 
   /// Two-way propagation delay (zero queueing) for leaf `i`.
   [[nodiscard]] sim::SimTime rtt(int i) const;
@@ -90,11 +98,14 @@ class Dumbbell {
   /// All links of the topology, in construction order ("bottleneck_fwd",
   /// "bottleneck_rev", then per-leaf "acc_up_<i>", "acc_down_<i>",
   /// "rcv_up_<i>", "rcv_down_<i>"). Fault injectors attach through this.
-  [[nodiscard]] const std::vector<std::unique_ptr<Link>>& links() const noexcept {
-    return links_;
-  }
+  [[nodiscard]] std::span<Link> links() noexcept { return {links_.begin(), links_.end()}; }
 
  private:
+  /// Sender of leaf `i` (its receiver is next); a negative `i` maps past
+  /// every host, so at() rejects it.
+  [[nodiscard]] static std::size_t host_index(int i) noexcept {
+    return 2 * static_cast<std::size_t>(i);
+  }
   std::unique_ptr<Queue> make_bottleneck_queue();
   Link& add_link(std::string name, Link::Config cfg, PacketSink& dst, std::int64_t buffer);
 
@@ -102,13 +113,13 @@ class Dumbbell {
   DumbbellConfig config_;
   std::vector<sim::SimTime> leaf_delays_;
 
-  std::unique_ptr<Router> left_router_;
-  std::unique_ptr<Router> right_router_;
-  std::vector<std::unique_ptr<Host>> senders_;
-  std::vector<std::unique_ptr<Host>> receivers_;
-  std::vector<std::unique_ptr<Link>> links_;
-  Link* forward_bottleneck_{nullptr};
-  Link* reverse_bottleneck_{nullptr};
+  // Declared in construction order, so they are destroyed in reverse: a
+  // link goes before the queue it borrows and the node it delivers to.
+  Router left_router_;
+  Router right_router_;
+  core::ObjectBlock<Host> hosts_;            ///< leaf i: sender at 2i, receiver at 2i + 1
+  core::ObjectBlock<DropTailQueue> queues_;  ///< reverse bottleneck's, then four per leaf
+  core::ObjectBlock<Link> links_;            ///< in links() order
 };
 
 }  // namespace rbs::net

@@ -1,6 +1,5 @@
 #include "net/link.hpp"
 
-#include <cassert>
 #include <cmath>
 #include <stdexcept>
 #include <utility>
@@ -19,15 +18,16 @@ const char* packet_span_name(PacketKind kind) {
   return "pkt";
 }
 
+Queue& require_queue(const std::unique_ptr<Queue>& queue) {
+  if (queue == nullptr) throw std::invalid_argument("link: queue must not be null");
+  return *queue;
+}
+
 }  // namespace
 
-Link::Link(sim::Simulation& sim, std::string name, Config config, std::unique_ptr<Queue> queue,
+Link::Link(sim::Simulation& sim, std::string name, Config config, Queue& queue,
            PacketSink& downstream)
-    : sim_{sim},
-      name_{std::move(name)},
-      config_{config},
-      queue_{std::move(queue)},
-      downstream_{downstream} {
+    : sim_{sim}, name_{std::move(name)}, config_{config}, queue_{&queue}, downstream_{downstream} {
   // A zero, negative or non-finite rate makes every serialization time
   // zero or meaningless, so a run would spin at one instant forever.
   if (!(std::isfinite(config_.rate.bps()) && config_.rate.bps() > 0.0)) {
@@ -41,7 +41,22 @@ Link::Link(sim::Simulation& sim, std::string name, Config config, std::unique_pt
     throw std::invalid_argument("link '" + name_ +
                                 "': rate is too slow to serialize a packet in simulated time");
   }
-  assert(queue_ != nullptr);
+  // The scheduler would clamp a delivery scheduled in the past to now(),
+  // so a negative delay would silently become zero.
+  if (config_.propagation < sim::SimTime::zero()) {
+    throw std::invalid_argument("link '" + name_ + "': propagation delay must be >= 0");
+  }
+}
+
+Link::Link(sim::Simulation& sim, std::string name, Config config, std::unique_ptr<Queue> queue,
+           PacketSink& downstream)
+    : Link{sim, std::move(name), config, require_queue(queue), downstream} {
+  owns_queue_ = true;
+  (void)queue.release();
+}
+
+Link::~Link() {
+  if (owns_queue_) delete queue_;
 }
 
 const char* Link::trace_qlen_name() {

@@ -42,8 +42,9 @@ struct LinkFaultStats {
   }
 };
 
-/// One direction of a point-to-point link.
-class Link final : public PacketSink {
+/// One direction of a point-to-point link. Cache-line aligned, so a link
+/// built in a topology's link block starts on a line of its own.
+class alignas(64) Link final : public PacketSink {
  public:
   struct Config {
     core::BitsPerSec rate{core::BitsPerSec::gigabits(1)};
@@ -53,9 +54,15 @@ class Link final : public PacketSink {
   /// `queue` buffers packets while the link is busy; `downstream` receives
   /// them after serialization + propagation. `downstream` must outlive the
   /// link. Throws std::invalid_argument unless the rate is positive and
-  /// finite.
+  /// finite and the propagation delay is not negative.
+  Link(sim::Simulation& sim, std::string name, Config config, Queue& queue,
+       PacketSink& downstream);
+  /// As above, but the link owns `queue` (which must not be null).
   Link(sim::Simulation& sim, std::string name, Config config, std::unique_ptr<Queue> queue,
        PacketSink& downstream);
+  ~Link() override;
+  Link(const Link&) = delete;
+  Link& operator=(const Link&) = delete;
 
   /// Offers a packet for transmission (possibly queueing or dropping it).
   void receive(const Packet& p) override;
@@ -142,9 +149,13 @@ class Link final : public PacketSink {
   sim::Simulation& sim_;
   std::string name_;
   Config config_;
-  std::unique_ptr<Queue> queue_;
+  /// The queue, borrowed from the topology or owned (`owns_queue_`). A
+  /// flag rather than a second, owning pointer: it fits in padding, so the
+  /// link stays six cache lines.
+  Queue* queue_;
   PacketSink& downstream_;
   bool busy_{false};
+  bool owns_queue_{false};
   /// The packet currently being serialized (valid while busy_). Kept here
   /// rather than captured in the completion event so that event's capture
   /// stays within the EventPool's inline-slot budget.

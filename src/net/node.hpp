@@ -86,6 +86,10 @@ class Router final : public Node {
   /// kInvalidNode.
   void add_route(NodeId dst, PacketSink& next_hop);
 
+  /// Sizes the table for destinations below `num_nodes` in one allocation,
+  /// so a topology that knows its node count routes without regrowing it.
+  void size_table(std::size_t num_nodes) { routes_.resize(num_nodes, nullptr); }
+
   /// Fallback next hop for destinations with no explicit route.
   void set_default_route(PacketSink& next_hop) noexcept { default_route_ = &next_hop; }
 

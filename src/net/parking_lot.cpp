@@ -1,16 +1,48 @@
 #include "net/parking_lot.hpp"
 
-#include <cassert>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
 namespace rbs::net {
 
-ParkingLot::ParkingLot(sim::Simulation& sim, ParkingLotConfig config)
-    : sim_{sim}, config_{std::move(config)} {
-  assert(config_.num_segments >= 1);
-  assert(config_.num_e2e_leaves >= 0 && config_.num_local_leaves_per_segment >= 0);
+namespace {
 
+/// `config`, once checked to describe a buildable parking lot.
+ParkingLotConfig validated(ParkingLotConfig config) {
+  if (config.num_segments < 1) {
+    throw std::invalid_argument("parking lot: num_segments must be >= 1, got " +
+                                std::to_string(config.num_segments));
+  }
+  if (config.num_e2e_leaves < 0 || config.num_local_leaves_per_segment < 0) {
+    throw std::invalid_argument("parking lot: leaf counts must be >= 0");
+  }
+  if (config.access_delay_min > config.access_delay_max) {
+    throw std::invalid_argument("parking lot: access_delay_min exceeds access_delay_max");
+  }
+  return config;
+}
+
+std::size_t num_hosts(const ParkingLotConfig& c) {
+  return 2 * (static_cast<std::size_t>(c.num_e2e_leaves) +
+              static_cast<std::size_t>(c.num_segments) *
+                  static_cast<std::size_t>(c.num_local_leaves_per_segment));
+}
+
+/// Two per segment, plus an up and a down access link per host.
+std::size_t num_links(const ParkingLotConfig& c) {
+  return 2 * static_cast<std::size_t>(c.num_segments) + 2 * num_hosts(c);
+}
+
+}  // namespace
+
+ParkingLot::ParkingLot(sim::Simulation& sim, ParkingLotConfig config)
+    : sim_{sim},
+      config_{validated(std::move(config))},
+      routers_{static_cast<std::size_t>(config_.num_segments) + 1},
+      hosts_{num_hosts(config_)},
+      queues_{num_links(config_)},
+      links_{num_links(config_)} {
   auto rng = sim_.rng().fork(/*stream=*/0x9A121'07);
   const auto draw_delay = [&rng, this] {
     const auto lo = config_.access_delay_min.ps();
@@ -20,81 +52,85 @@ ParkingLot::ParkingLot(sim::Simulation& sim, ParkingLotConfig config)
 
   NodeId next_id = 0;
   for (int r = 0; r <= config_.num_segments; ++r) {
-    routers_.push_back(
-        std::make_unique<Router>(sim_, next_id++, "router_" + std::to_string(r)));
+    routers_.emplace_back(sim_, next_id++, "router_" + std::to_string(r));
   }
+  for (Router& router : routers_) router.size_table(routers_.size() + hosts_.capacity());
 
   // Segment links (both directions). Forward carries the studied traffic and
   // gets the configured buffer; reverse is provisioned to never drop.
   const Link::Config seg_cfg{config_.segment_rate, config_.segment_delay};
-  for (int s = 0; s < config_.num_segments; ++s) {
-    forward_segments_.push_back(&add_link("seg_fwd_" + std::to_string(s), seg_cfg,
-                                          *routers_[static_cast<std::size_t>(s + 1)],
-                                          config_.buffer_packets));
-    reverse_segments_.push_back(&add_link("seg_rev_" + std::to_string(s), seg_cfg,
-                                          *routers_[static_cast<std::size_t>(s)],
-                                          config_.uncongested_buffer_packets));
+  for (std::size_t s = 0; s < routers_.size() - 1; ++s) {
+    add_link("seg_fwd_" + std::to_string(s), seg_cfg, routers_[s + 1], config_.buffer_packets);
+    add_link("seg_rev_" + std::to_string(s), seg_cfg, routers_[s],
+             config_.uncongested_buffer_packets);
   }
 
-  // A host attached to router `attach` with a drawn access delay; returns
-  // (host, downlink) after wiring the uplink.
-  const auto make_host = [&](const std::string& name, int attach,
-                             sim::SimTime delay) -> std::pair<std::unique_ptr<Host>, Link*> {
-    auto host = std::make_unique<Host>(sim_, next_id++, name);
-    const Link::Config acc_cfg{config_.access_rate, delay};
-    Link& up = add_link(name + "_up", acc_cfg, *routers_[static_cast<std::size_t>(attach)],
-                        config_.uncongested_buffer_packets);
-    Link& down = add_link(name + "_down", acc_cfg, *host,
-                          config_.uncongested_buffer_packets);
-    host->attach_uplink(up);
-    return {std::move(host), &down};
-  };
-
   // End-to-end leaves: senders at router 0, receivers at the last router.
+  e2e_delays_.reserve(static_cast<std::size_t>(config_.num_e2e_leaves));
   for (int i = 0; i < config_.num_e2e_leaves; ++i) {
     const auto delay = draw_delay();
     e2e_delays_.push_back(delay);
-    auto [snd, snd_down] = make_host("e2e_snd_" + std::to_string(i), 0, delay);
-    install_routes(*snd, 0, *snd_down);
-    e2e_senders_.push_back(std::move(snd));
-    auto [rcv, rcv_down] = make_host("e2e_rcv_" + std::to_string(i), config_.num_segments,
-                                     sim::SimTime::milliseconds(1));
-    install_routes(*rcv, config_.num_segments, *rcv_down);
-    e2e_receivers_.push_back(std::move(rcv));
+    add_host("e2e_snd_" + std::to_string(i), 0, delay);
+    add_host("e2e_rcv_" + std::to_string(i), config_.num_segments,
+             sim::SimTime::milliseconds(1));
   }
 
   // Local leaves for segment s: sender at router s, receiver at router s+1.
   for (int s = 0; s < config_.num_segments; ++s) {
     for (int i = 0; i < config_.num_local_leaves_per_segment; ++i) {
       const auto tag = std::to_string(s) + "_" + std::to_string(i);
-      auto [snd, snd_down] = make_host("loc_snd_" + tag, s, draw_delay());
-      install_routes(*snd, s, *snd_down);
-      local_senders_.push_back(std::move(snd));
-      auto [rcv, rcv_down] = make_host("loc_rcv_" + tag, s + 1, sim::SimTime::milliseconds(1));
-      install_routes(*rcv, s + 1, *rcv_down);
-      local_receivers_.push_back(std::move(rcv));
+      add_host("loc_snd_" + tag, s, draw_delay());
+      add_host("loc_rcv_" + tag, s + 1, sim::SimTime::milliseconds(1));
     }
   }
 }
 
 Link& ParkingLot::add_link(std::string name, Link::Config cfg, PacketSink& dst,
                            std::int64_t buffer) {
-  links_.push_back(std::make_unique<Link>(sim_, std::move(name), cfg,
-                                          std::make_unique<DropTailQueue>(buffer), dst));
-  return *links_.back();
+  return links_.emplace_back(sim_, std::move(name), cfg, queues_.emplace_back(buffer), dst);
 }
 
-void ParkingLot::install_routes(Host& host, int attach, Link& access_down) {
-  for (int r = 0; r <= config_.num_segments; ++r) {
-    Router& router = *routers_[static_cast<std::size_t>(r)];
-    if (r == attach) {
-      router.add_route(host.id(), access_down);
-    } else if (r < attach) {
-      router.add_route(host.id(), *forward_segments_[static_cast<std::size_t>(r)]);
+void ParkingLot::add_host(const std::string& name, int attach, sim::SimTime delay) {
+  const auto at = static_cast<std::size_t>(attach);
+  Host& host = hosts_.emplace_back(sim_, static_cast<NodeId>(routers_.size() + hosts_.size()),
+                                   name);
+  const Link::Config acc_cfg{config_.access_rate, delay};
+  Link& up = add_link(name + "_up", acc_cfg, routers_[at], config_.uncongested_buffer_packets);
+  Link& down = add_link(name + "_down", acc_cfg, host, config_.uncongested_buffer_packets);
+  host.attach_uplink(up);
+  for (std::size_t r = 0; r < routers_.size(); ++r) {
+    if (r == at) {
+      routers_[r].add_route(host.id(), down);
+    } else if (r < at) {
+      routers_[r].add_route(host.id(), forward_segment(r));
     } else {
-      router.add_route(host.id(), *reverse_segments_[static_cast<std::size_t>(r - 1)]);
+      routers_[r].add_route(host.id(), reverse_segment(r - 1));
     }
   }
+}
+
+std::size_t ParkingLot::e2e_index(int i) const {
+  if (i < 0 || i >= config_.num_e2e_leaves) {
+    throw std::out_of_range("parking lot: no end-to-end leaf " + std::to_string(i));
+  }
+  return static_cast<std::size_t>(i);
+}
+
+std::size_t ParkingLot::local_index(int segment, int i) const {
+  if (segment < 0 || segment >= config_.num_segments || i < 0 ||
+      i >= config_.num_local_leaves_per_segment) {
+    throw std::out_of_range("parking lot: no local leaf " + std::to_string(i) + " on segment " +
+                            std::to_string(segment));
+  }
+  return static_cast<std::size_t>(config_.num_e2e_leaves) +
+         static_cast<std::size_t>(segment * config_.num_local_leaves_per_segment + i);
+}
+
+std::size_t ParkingLot::segment_index(int s) const {
+  if (s < 0 || s >= config_.num_segments) {
+    throw std::out_of_range("parking lot: no segment " + std::to_string(s));
+  }
+  return static_cast<std::size_t>(s);
 }
 
 sim::SimTime ParkingLot::e2e_rtt(int i) const {

@@ -12,9 +12,10 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
+#include <string>
 #include <vector>
 
+#include "core/object_block.hpp"
 #include "core/units.hpp"
 #include "net/drop_tail_queue.hpp"
 #include "net/link.hpp"
@@ -39,9 +40,13 @@ struct ParkingLotConfig {
   std::int64_t uncongested_buffer_packets{1'000'000};
 };
 
-/// Builds and owns the chain, the leaves, and full routing tables.
+/// Builds and owns the chain, the leaves, and full routing tables. Routers,
+/// hosts, queues and links each live in one block sized from the config,
+/// as in Dumbbell, and are destroyed in reverse construction order.
 class ParkingLot {
  public:
+  /// Throws std::invalid_argument for fewer than one segment, a negative
+  /// leaf count, or an access delay range with min > max.
   ParkingLot(sim::Simulation& sim, ParkingLotConfig config);
 
   [[nodiscard]] int num_segments() const noexcept { return config_.num_segments; }
@@ -51,48 +56,47 @@ class ParkingLot {
     return config_.num_local_leaves_per_segment;
   }
 
-  [[nodiscard]] Host& e2e_sender(int i) noexcept {
-    return *e2e_senders_.at(static_cast<std::size_t>(i));
+  // Hosts and segments; each throws std::out_of_range for an index that
+  // does not exist.
+  [[nodiscard]] Host& e2e_sender(int i) { return hosts_[2 * e2e_index(i)]; }
+  [[nodiscard]] Host& e2e_receiver(int i) { return hosts_[2 * e2e_index(i) + 1]; }
+  [[nodiscard]] Host& local_sender(int segment, int i) {
+    return hosts_[2 * local_index(segment, i)];
   }
-  [[nodiscard]] Host& e2e_receiver(int i) noexcept {
-    return *e2e_receivers_.at(static_cast<std::size_t>(i));
-  }
-  [[nodiscard]] Host& local_sender(int segment, int i) noexcept {
-    return *local_senders_.at(index(segment, i));
-  }
-  [[nodiscard]] Host& local_receiver(int segment, int i) noexcept {
-    return *local_receivers_.at(index(segment, i));
+  [[nodiscard]] Host& local_receiver(int segment, int i) {
+    return hosts_[2 * local_index(segment, i) + 1];
   }
 
   /// The forward (congested-direction) link of segment `s`.
-  [[nodiscard]] Link& segment(int s) noexcept {
-    return *forward_segments_.at(static_cast<std::size_t>(s));
-  }
+  [[nodiscard]] Link& segment(int s) { return forward_segment(segment_index(s)); }
 
   /// Propagation RTT of an end-to-end leaf pair (no queueing).
   [[nodiscard]] sim::SimTime e2e_rtt(int i) const;
 
  private:
-  [[nodiscard]] std::size_t index(int segment, int i) const noexcept {
-    return static_cast<std::size_t>(segment * config_.num_local_leaves_per_segment + i);
-  }
+  /// Host-pair index of e2e leaf `i` or of local leaf `i` of `segment`.
+  [[nodiscard]] std::size_t e2e_index(int i) const;
+  [[nodiscard]] std::size_t local_index(int segment, int i) const;
+  [[nodiscard]] std::size_t segment_index(int s) const;
+  // Segment s's links are the first built: forward at 2s, reverse at 2s + 1.
+  [[nodiscard]] Link& forward_segment(std::size_t s) noexcept { return links_[2 * s]; }
+  [[nodiscard]] Link& reverse_segment(std::size_t s) noexcept { return links_[2 * s + 1]; }
+
   Link& add_link(std::string name, Link::Config cfg, PacketSink& dst, std::int64_t buffer);
-  /// Installs a route for `host` (attached to router `attach`) at every
-  /// router, pointing along the chain or down the access link.
-  void install_routes(Host& host, int attach, Link& access_down);
+  /// Builds a host attached to router `attach` with its access links and
+  /// installs its route at every router, pointing along the chain or down
+  /// the access link.
+  void add_host(const std::string& name, int attach, sim::SimTime delay);
 
   sim::Simulation& sim_;
   ParkingLotConfig config_;
-
-  std::vector<std::unique_ptr<Router>> routers_;  // num_segments + 1
-  std::vector<std::unique_ptr<Host>> e2e_senders_;
-  std::vector<std::unique_ptr<Host>> e2e_receivers_;
-  std::vector<std::unique_ptr<Host>> local_senders_;
-  std::vector<std::unique_ptr<Host>> local_receivers_;
-  std::vector<std::unique_ptr<Link>> links_;
-  std::vector<Link*> forward_segments_;
-  std::vector<Link*> reverse_segments_;  // reverse_segments_[s]: R(s+1) -> R(s)
   std::vector<sim::SimTime> e2e_delays_;
+
+  // Declared in construction order, so they are destroyed in reverse.
+  core::ObjectBlock<Router> routers_;        ///< num_segments + 1
+  core::ObjectBlock<Host> hosts_;            ///< e2e pairs, then local pairs by segment
+  core::ObjectBlock<DropTailQueue> queues_;  ///< one per link
+  core::ObjectBlock<Link> links_;            ///< segments, then up/down per host
 };
 
 }  // namespace rbs::net

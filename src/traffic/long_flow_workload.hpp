@@ -5,10 +5,10 @@
 // the sawtooths. Flow ids run 1, 2, ... from leaf 0.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <vector>
 
+#include "core/object_block.hpp"
 #include "net/dumbbell.hpp"
 #include "sim/simulation.hpp"
 #include "tcp/tcp_sink.hpp"
@@ -27,7 +27,8 @@ struct LongFlowWorkloadConfig {
   std::optional<int> num_flows{};
 };
 
-/// Creates, starts, and owns one long-lived flow per leading leaf.
+/// Creates, starts, and owns one long-lived flow per leading leaf, its
+/// sources and sinks each in one block sized by the flow count.
 class LongFlowWorkload {
  public:
   /// Throws std::invalid_argument for a negative num_flows or more flows
@@ -37,14 +38,12 @@ class LongFlowWorkload {
 
   [[nodiscard]] int num_flows() const noexcept { return static_cast<int>(sources_.size()); }
   [[nodiscard]] tcp::TcpSource& source(int i) {
-    return *sources_.at(static_cast<std::size_t>(i));
+    return sources_.at(static_cast<std::size_t>(i));
   }
   [[nodiscard]] const tcp::TcpSource& source(int i) const {
-    return *sources_.at(static_cast<std::size_t>(i));
+    return sources_.at(static_cast<std::size_t>(i));
   }
-  [[nodiscard]] tcp::TcpSink& sink(int i) {
-    return *sinks_.at(static_cast<std::size_t>(i));
-  }
+  [[nodiscard]] tcp::TcpSink& sink(int i) { return sinks_.at(static_cast<std::size_t>(i)); }
 
   /// Sum of all current congestion windows, in packets — the aggregate
   /// window process W(t) of §3.
@@ -61,8 +60,8 @@ class LongFlowWorkload {
   void audit(check::AuditReport& report) const;
 
  private:
-  std::vector<std::unique_ptr<tcp::TcpSource>> sources_;
-  std::vector<std::unique_ptr<tcp::TcpSink>> sinks_;
+  core::ObjectBlock<tcp::TcpSource> sources_;
+  core::ObjectBlock<tcp::TcpSink> sinks_;
 };
 
 }  // namespace rbs::traffic

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "net/red_queue.hpp"
 #include "sim/simulation.hpp"
 
@@ -164,6 +169,84 @@ TEST(Dumbbell, RedDisciplineInstallsRedQueue) {
   cfg.access_delays = {5_ms};
   Dumbbell topo{sim, cfg};
   EXPECT_NE(dynamic_cast<RedQueue*>(&topo.bottleneck().queue()), nullptr);
+}
+
+TEST(Dumbbell, FewerThanOneLeafThrows) {
+  sim::Simulation sim{1};
+  DumbbellConfig cfg;
+  cfg.num_leaves = 0;
+  EXPECT_THROW((Dumbbell{sim, cfg}), std::invalid_argument);
+  cfg.num_leaves = -3;
+  EXPECT_THROW((Dumbbell{sim, cfg}), std::invalid_argument);
+}
+
+TEST(Dumbbell, AccessDelaysMustHaveOnePerLeaf) {
+  // A short list used to be read past its end in release builds.
+  sim::Simulation sim{1};
+  DumbbellConfig cfg;
+  cfg.num_leaves = 3;
+  cfg.access_delays = {5_ms, 6_ms};
+  EXPECT_THROW((Dumbbell{sim, cfg}), std::invalid_argument);
+  cfg.access_delays = {5_ms, 6_ms, 7_ms, 8_ms};
+  EXPECT_THROW((Dumbbell{sim, cfg}), std::invalid_argument);
+}
+
+TEST(Dumbbell, InvertedAccessDelayRangeThrows) {
+  // It used to give every leaf the minimum.
+  sim::Simulation sim{1};
+  DumbbellConfig cfg;
+  cfg.num_leaves = 2;
+  cfg.access_delay_min = 20_ms;
+  cfg.access_delay_max = 10_ms;
+  EXPECT_THROW((Dumbbell{sim, cfg}), std::invalid_argument);
+  // The range is not drawn from when explicit delays are given.
+  cfg.access_delays = {5_ms, 6_ms};
+  EXPECT_NO_THROW((Dumbbell{sim, cfg}));
+}
+
+TEST(Dumbbell, NegativeDelayThrows) {
+  sim::Simulation sim{1};
+  DumbbellConfig cfg;
+  cfg.num_leaves = 1;
+  cfg.access_delays = {sim::SimTime::milliseconds(-5)};
+  EXPECT_THROW((Dumbbell{sim, cfg}), std::invalid_argument);
+  cfg.access_delays.clear();
+  cfg.receiver_delay = sim::SimTime::milliseconds(-1);
+  EXPECT_THROW((Dumbbell{sim, cfg}), std::invalid_argument);
+}
+
+TEST(Dumbbell, LeafOutOfRangeThrows) {
+  sim::Simulation sim{1};
+  DumbbellConfig cfg;
+  cfg.num_leaves = 2;
+  Dumbbell topo{sim, cfg};
+  EXPECT_NO_THROW((void)topo.receiver(1));
+  EXPECT_THROW((void)topo.sender(2), std::out_of_range);
+  EXPECT_THROW((void)topo.receiver(2), std::out_of_range);
+  EXPECT_THROW((void)topo.sender(-1), std::out_of_range);
+  EXPECT_THROW((void)topo.receiver(-1), std::out_of_range);
+}
+
+TEST(Dumbbell, LinksAndNodeIdsFollowConstructionOrder) {
+  sim::Simulation sim{1};
+  DumbbellConfig cfg;
+  cfg.num_leaves = 2;
+  Dumbbell topo{sim, cfg};
+  std::vector<std::string> names;
+  for (const Link& link : topo.links()) names.push_back(link.name());
+  EXPECT_EQ(names, (std::vector<std::string>{"bottleneck_fwd", "bottleneck_rev", "acc_up_0",
+                                             "acc_down_0", "rcv_up_0", "rcv_down_0",
+                                             "acc_up_1", "acc_down_1", "rcv_up_1",
+                                             "rcv_down_1"}));
+  EXPECT_EQ(&topo.links()[0], &topo.bottleneck());
+  EXPECT_EQ(&topo.links()[1], &topo.reverse_bottleneck());
+  for (const Link& link : topo.links()) {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(&link) % 64, 0u) << link.name();
+  }
+  EXPECT_EQ(topo.sender(0).id(), 2u);
+  EXPECT_EQ(topo.receiver(0).id(), 3u);
+  EXPECT_EQ(topo.sender(1).id(), 4u);
+  EXPECT_EQ(topo.receiver(1).name(), "receiver_1");
 }
 
 TEST(Dumbbell, DistinctSeedsGiveDistinctDelaySpreads) {

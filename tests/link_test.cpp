@@ -158,6 +158,42 @@ TEST(LinkTimingTest, RateBoundIsSetByAMaximumSizePacket) {
                std::invalid_argument);
 }
 
+TEST(LinkConfigTest, NegativePropagationDelayThrows) {
+  // The scheduler clamps a past time to now(), so a negative delay would
+  // silently deliver with zero propagation.
+  sim::Simulation sim{1};
+  RecordingSink sink{sim};
+  const Link::Config backwards{core::BitsPerSec{1e6}, sim::SimTime::milliseconds(-1)};
+  EXPECT_THROW((Link{sim, "back", backwards, std::make_unique<DropTailQueue>(1), sink}),
+               std::invalid_argument);
+  DropTailQueue borrowed{1};
+  EXPECT_THROW((Link{sim, "back", backwards, borrowed, sink}), std::invalid_argument);
+  EXPECT_NO_THROW((Link{sim, "zero", Link::Config{core::BitsPerSec{1e6}, sim::SimTime::zero()},
+                        borrowed, sink}));
+}
+
+TEST(LinkConfigTest, NullOwnedQueueThrows) {
+  sim::Simulation sim{1};
+  RecordingSink sink{sim};
+  EXPECT_THROW((Link{sim, "noq", Link::Config{core::BitsPerSec{1e6}, 1_ms},
+                     std::unique_ptr<Queue>{}, sink}),
+               std::invalid_argument);
+}
+
+TEST(LinkConfigTest, BorrowedQueueBuffersLikeAnOwnedOne) {
+  sim::Simulation sim{1};
+  RecordingSink sink{sim};
+  DropTailQueue queue{1};
+  Link link{sim, "borrow", Link::Config{core::BitsPerSec{1e6}, 5_ms}, queue, sink};
+  EXPECT_EQ(&link.queue(), &queue);
+  for (int i = 0; i < 3; ++i) link.receive(make_packet(i));  // one in service, one queued
+  EXPECT_EQ(queue.size_packets(), 1);
+  EXPECT_EQ(queue.stats().dropped_packets, 1u);
+  sim.run();
+  ASSERT_EQ(sink.arrivals_.size(), 2u);
+  EXPECT_EQ(sink.arrivals_[1].time, 21_ms);  // 2 x 8 ms serialization + 5 ms
+}
+
 TEST_F(LinkTest, BrownoutPastTheTimeRangeStallsInsteadOfWrapping) {
   // The serialization time saturates; scheduling its end at now + infinity
   // would wrap to the past (for any now > 0) and deliver the packet at once.

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "sim/simulation.hpp"
 #include "tcp/tcp_sink.hpp"
 #include "tcp/tcp_source.hpp"
@@ -98,6 +100,45 @@ TEST(ParkingLot, RttIncludesAllSegments) {
   ParkingLot lot{sim, cfg};
   // one-way = 4 + 3*5 + 1 = 20 ms; RTT = 40 ms.
   EXPECT_EQ(lot.e2e_rtt(0), 40_ms);
+}
+
+TEST(ParkingLot, FewerThanOneSegmentThrows) {
+  sim::Simulation sim{1};
+  auto cfg = small_lot();
+  cfg.num_segments = 0;
+  EXPECT_THROW((ParkingLot{sim, cfg}), std::invalid_argument);
+}
+
+TEST(ParkingLot, NegativeLeafCountsThrow) {
+  sim::Simulation sim{1};
+  auto cfg = small_lot();
+  cfg.num_e2e_leaves = -1;
+  EXPECT_THROW((ParkingLot{sim, cfg}), std::invalid_argument);
+  cfg = small_lot();
+  cfg.num_local_leaves_per_segment = -1;
+  EXPECT_THROW((ParkingLot{sim, cfg}), std::invalid_argument);
+  cfg.num_local_leaves_per_segment = 0;  // zero leaves is a valid, empty lot
+  EXPECT_NO_THROW((ParkingLot{sim, cfg}));
+}
+
+TEST(ParkingLot, InvertedAccessDelayRangeThrows) {
+  sim::Simulation sim{1};
+  auto cfg = small_lot();
+  cfg.access_delay_min = 20_ms;
+  cfg.access_delay_max = 10_ms;
+  EXPECT_THROW((ParkingLot{sim, cfg}), std::invalid_argument);
+}
+
+TEST(ParkingLot, IndexOutOfRangeThrows) {
+  sim::Simulation sim{1};
+  ParkingLot lot{sim, small_lot()};
+  EXPECT_THROW((void)lot.e2e_sender(2), std::out_of_range);
+  EXPECT_THROW((void)lot.e2e_receiver(-1), std::out_of_range);
+  EXPECT_THROW((void)lot.local_sender(3, 0), std::out_of_range);
+  EXPECT_THROW((void)lot.local_receiver(0, 2), std::out_of_range);
+  EXPECT_THROW((void)lot.segment(3), std::out_of_range);
+  EXPECT_EQ(lot.local_receiver(2, 1).name(), "loc_rcv_2_1");
+  EXPECT_EQ(lot.segment(2).name(), "seg_fwd_2");
 }
 
 TEST(ParkingLot, TcpFlowCompletesAcrossTheChain) {
