@@ -1,7 +1,8 @@
 // Engine microbenchmarks (google-benchmark): event scheduling, cancel and
 // reap throughput, steady-state schedule->fire, parallel sweep dispatch,
-// end-to-end simulated-seconds-per-wall-second for a reference dumbbell, and
-// the cost of building and tearing one down.
+// end-to-end simulated-seconds-per-wall-second for a reference dumbbell, the
+// cost of building and tearing one down, and a host's per-delivery flow
+// lookup.
 //
 // Emit machine-readable numbers with --benchmark_format=json; the repo's
 // BENCH_engine.json tracks these results across engine changes.
@@ -181,7 +182,7 @@ void BM_CcaStep(benchmark::State& state) {
   // math, BBR the max-filter and phase machine, DCTCP the EWMA fold.
   const auto flavor = tcp::all_flavors()[static_cast<std::size_t>(state.range(0))];
   const tcp::CcConfig cfg;
-  const auto cc = tcp::make_congestion_control(flavor, cfg);
+  tcp::CcHolder cc{flavor, cfg};
   tcp::CcContext ctx;
   ctx.srtt = sim::SimTime::milliseconds(50);
   ctx.min_rtt = ctx.srtt;
@@ -240,6 +241,36 @@ void BM_DumbbellBuild(benchmark::State& state) {
       static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_DumbbellBuild)->Arg(50)->Arg(500)->Unit(benchmark::kMicrosecond);
+
+/// An agent that only counts its packets.
+class CountingAgent final : public net::Agent {
+ public:
+  void on_packet(const net::Packet& /*p*/) override { ++packets; }
+  std::uint64_t packets{0};
+};
+
+void BM_HostDispatch(benchmark::State& state) {
+  // One delivery through Host::receive with N agents on the host: the flow
+  // lookup plus a trivial agent call. Deliveries cycle over every flow, so
+  // with more agents than Host::kInlineAgents most of them search the
+  // overflow map, as in a trace replay that puts thousands of flows on one
+  // leaf; 1 and 4 stay in the inline slots.
+  const auto flows = static_cast<net::FlowId>(state.range(0));
+  sim::Simulation sim{kBenchSeed};
+  net::Host host{sim, 0, "host"};
+  std::vector<CountingAgent> agents(flows);
+  for (net::FlowId f = 0; f < flows; ++f) host.register_agent(f + 1, agents[f]);
+  net::Packet p;
+  net::FlowId next = 0;
+  for (auto _ : state) {
+    p.flow = next + 1;
+    host.receive(p);
+    if (++next == flows) next = 0;
+  }
+  benchmark::DoNotOptimize(agents.front().packets);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HostDispatch)->Arg(1)->Arg(4)->Arg(3'000);
 
 void BM_TelemetryOverhead(benchmark::State& state) {
   // Cost of the observability layer on a reference run. Arg selects the

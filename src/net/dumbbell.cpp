@@ -58,8 +58,8 @@ Dumbbell::Dumbbell(sim::Simulation& sim, DumbbellConfig config)
 
   NodeId next_id = 2;  // after the two routers
   for (std::size_t i = 0; i < leaves; ++i) {
-    hosts_.emplace_back(sim_, next_id++, "sender_" + std::to_string(i));
-    hosts_.emplace_back(sim_, next_id++, "receiver_" + std::to_string(i));
+    hosts_.emplace_back(sim_, next_id++, make_name("sender_", i));
+    hosts_.emplace_back(sim_, next_id++, make_name("receiver_", i));
   }
   left_router_.size_table(next_id);
   right_router_.size_table(next_id);
@@ -81,11 +81,10 @@ Dumbbell::Dumbbell(sim::Simulation& sim, DumbbellConfig config)
     const Link::Config receiver_cfg{config_.access_rate, config_.receiver_delay};
     const std::int64_t buffer = config_.uncongested_buffer_packets;
 
-    Link& sender_up = add_link("acc_up_" + std::to_string(i), sender_cfg, left_router_, buffer);
-    Link& sender_down = add_link("acc_down_" + std::to_string(i), sender_cfg, snd, buffer);
-    Link& receiver_up =
-        add_link("rcv_up_" + std::to_string(i), receiver_cfg, right_router_, buffer);
-    Link& receiver_down = add_link("rcv_down_" + std::to_string(i), receiver_cfg, rcv, buffer);
+    Link& sender_up = add_link(make_name("acc_up_", i), sender_cfg, left_router_, buffer);
+    Link& sender_down = add_link(make_name("acc_down_", i), sender_cfg, snd, buffer);
+    Link& receiver_up = add_link(make_name("rcv_up_", i), receiver_cfg, right_router_, buffer);
+    Link& receiver_down = add_link(make_name("rcv_down_", i), receiver_cfg, rcv, buffer);
 
     snd.attach_uplink(sender_up);
     rcv.attach_uplink(receiver_up);

@@ -52,7 +52,7 @@ ParkingLot::ParkingLot(sim::Simulation& sim, ParkingLotConfig config)
 
   NodeId next_id = 0;
   for (int r = 0; r <= config_.num_segments; ++r) {
-    routers_.emplace_back(sim_, next_id++, "router_" + std::to_string(r));
+    routers_.emplace_back(sim_, next_id++, make_name("router_", r));
   }
   for (Router& router : routers_) router.size_table(routers_.size() + hosts_.capacity());
 
@@ -60,8 +60,8 @@ ParkingLot::ParkingLot(sim::Simulation& sim, ParkingLotConfig config)
   // gets the configured buffer; reverse is provisioned to never drop.
   const Link::Config seg_cfg{config_.segment_rate, config_.segment_delay};
   for (std::size_t s = 0; s < routers_.size() - 1; ++s) {
-    add_link("seg_fwd_" + std::to_string(s), seg_cfg, routers_[s + 1], config_.buffer_packets);
-    add_link("seg_rev_" + std::to_string(s), seg_cfg, routers_[s],
+    add_link(make_name("seg_fwd_", s), seg_cfg, routers_[s + 1], config_.buffer_packets);
+    add_link(make_name("seg_rev_", s), seg_cfg, routers_[s],
              config_.uncongested_buffer_packets);
   }
 
@@ -70,17 +70,16 @@ ParkingLot::ParkingLot(sim::Simulation& sim, ParkingLotConfig config)
   for (int i = 0; i < config_.num_e2e_leaves; ++i) {
     const auto delay = draw_delay();
     e2e_delays_.push_back(delay);
-    add_host("e2e_snd_" + std::to_string(i), 0, delay);
-    add_host("e2e_rcv_" + std::to_string(i), config_.num_segments,
+    add_host(make_name("e2e_snd_", i), 0, delay);
+    add_host(make_name("e2e_rcv_", i), config_.num_segments,
              sim::SimTime::milliseconds(1));
   }
 
   // Local leaves for segment s: sender at router s, receiver at router s+1.
   for (int s = 0; s < config_.num_segments; ++s) {
     for (int i = 0; i < config_.num_local_leaves_per_segment; ++i) {
-      const auto tag = std::to_string(s) + "_" + std::to_string(i);
-      add_host("loc_snd_" + tag, s, draw_delay());
-      add_host("loc_rcv_" + tag, s + 1, sim::SimTime::milliseconds(1));
+      add_host(make_name("loc_snd_", s, "_", i), s, draw_delay());
+      add_host(make_name("loc_rcv_", s, "_", i), s + 1, sim::SimTime::milliseconds(1));
     }
   }
 }
@@ -95,8 +94,9 @@ void ParkingLot::add_host(const std::string& name, int attach, sim::SimTime dela
   Host& host = hosts_.emplace_back(sim_, static_cast<NodeId>(routers_.size() + hosts_.size()),
                                    name);
   const Link::Config acc_cfg{config_.access_rate, delay};
-  Link& up = add_link(name + "_up", acc_cfg, routers_[at], config_.uncongested_buffer_packets);
-  Link& down = add_link(name + "_down", acc_cfg, host, config_.uncongested_buffer_packets);
+  const std::int64_t buffer = config_.uncongested_buffer_packets;
+  Link& up = add_link(make_name(name, "_up"), acc_cfg, routers_[at], buffer);
+  Link& down = add_link(make_name(name, "_down"), acc_cfg, host, buffer);
   host.attach_uplink(up);
   for (std::size_t r = 0; r < routers_.size(); ++r) {
     if (r == at) {

@@ -190,7 +190,9 @@ class EventPool {
 
   void grow() {
     const auto base = static_cast<std::uint32_t>(capacity());
-    slabs_.push_back(std::make_unique<Slot[]>(kSlabSize));
+    // Default-initialized: the member initializers set every field a free
+    // slot needs, so value-initializing would zero-fill 32 KiB for nothing.
+    slabs_.push_back(std::make_unique_for_overwrite<Slot[]>(kSlabSize));
     // Thread the new slab onto the free list in ascending order so freshly
     // grown pools hand out contiguous slots (better cache locality).
     Slot* slab = slabs_.back().get();
@@ -224,7 +226,7 @@ class EventPool {
 
   void grow_big() {
     const auto base = static_cast<std::uint32_t>(big_capacity());
-    big_slabs_.push_back(std::make_unique<BigSlot[]>(kBigSlabSize));
+    big_slabs_.push_back(std::make_unique_for_overwrite<BigSlot[]>(kBigSlabSize));
     BigSlot* slab = big_slabs_.back().get();
     for (std::size_t i = 0; i + 1 < kBigSlabSize; ++i) {
       slab[i].next_free = base + static_cast<std::uint32_t>(i) + 1;

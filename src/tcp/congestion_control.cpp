@@ -440,23 +440,26 @@ void DctcpCc::on_timeout(const CcContext& ctx, bool was_in_recovery) {
   cwnd_ = 1.0;
 }
 
-// --- Factory ---------------------------------------------------------------
+// --- In-place holder --------------------------------------------------------
 
-std::unique_ptr<CongestionControl> make_congestion_control(TcpFlavor flavor,
-                                                           const CcConfig& config) {
+CcHolder::Strategy CcHolder::make(TcpFlavor flavor, const CcConfig& config) noexcept {
   switch (flavor) {
     case TcpFlavor::kTahoe:
     case TcpFlavor::kReno:
     case TcpFlavor::kNewReno:
-      return std::make_unique<RenoFamilyCc>(config, flavor);
+      return Strategy{std::in_place_type<RenoFamilyCc>, config, flavor};
     case TcpFlavor::kCubic:
-      return std::make_unique<CubicCc>(config);
+      return Strategy{std::in_place_type<CubicCc>, config};
     case TcpFlavor::kBbr:
-      return std::make_unique<BbrCc>(config);
+      return Strategy{std::in_place_type<BbrCc>, config};
     case TcpFlavor::kDctcp:
-      return std::make_unique<DctcpCc>(config);
+      return Strategy{std::in_place_type<DctcpCc>, config};
   }
-  return std::make_unique<RenoFamilyCc>(config, TcpFlavor::kNewReno);
+  return Strategy{std::in_place_type<RenoFamilyCc>, config, TcpFlavor::kNewReno};
 }
+
+CcHolder::CcHolder(TcpFlavor flavor, const CcConfig& config) noexcept
+    : strategy_{make(flavor, config)},
+      cc_{std::visit([](CongestionControl& cc) { return &cc; }, strategy_)} {}
 
 }  // namespace rbs::tcp

@@ -20,10 +20,10 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <optional>
 #include <string_view>
 #include <utility>
+#include <variant>
 
 #include "core/units.hpp"
 #include "sim/time.hpp"
@@ -372,8 +372,28 @@ class DctcpCc final : public CongestionControl {
   std::int64_t window_end_{-1};  ///< alpha-update boundary (sequence)
 };
 
-/// Factory keyed by flavor.
-[[nodiscard]] std::unique_ptr<CongestionControl> make_congestion_control(
-    TcpFlavor flavor, const CcConfig& config);
+/// The strategy for a flavor, held in place: the strategy object lives
+/// inside the holder, so a connection's congestion control costs no heap
+/// allocation, and every hook is reached through the CongestionControl
+/// interface. Neither copyable nor movable, since it points into itself.
+class CcHolder {
+ public:
+  CcHolder(TcpFlavor flavor, const CcConfig& config) noexcept;
+
+  CcHolder(const CcHolder&) = delete;
+  CcHolder& operator=(const CcHolder&) = delete;
+
+  [[nodiscard]] CongestionControl& operator*() noexcept { return *cc_; }
+  [[nodiscard]] const CongestionControl& operator*() const noexcept { return *cc_; }
+  [[nodiscard]] CongestionControl* operator->() noexcept { return cc_; }
+  [[nodiscard]] const CongestionControl* operator->() const noexcept { return cc_; }
+
+ private:
+  using Strategy = std::variant<RenoFamilyCc, CubicCc, BbrCc, DctcpCc>;
+  [[nodiscard]] static Strategy make(TcpFlavor flavor, const CcConfig& config) noexcept;
+
+  Strategy strategy_;
+  CongestionControl* cc_;  ///< the active alternative of strategy_
+};
 
 }  // namespace rbs::tcp

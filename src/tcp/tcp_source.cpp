@@ -30,8 +30,8 @@ TcpSource::TcpSource(sim::Simulation& sim, net::Host& host, net::NodeId dst, net
       flow_{flow},
       config_{config},
       flow_packets_{flow_packets},
-      cc_{make_congestion_control(config.flavor, cc_config_from(config))},
-      rtt_{config.rtt} {
+      rtt_{config.rtt},
+      cc_{config.flavor, cc_config_from(config)} {
   assert(config_.segment.count() > 0);
   assert(config_.initial_cwnd >= 1.0);
   host_.register_agent(flow_, *this);

@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 
 #include "core/units.hpp"
 #include "net/node.hpp"
@@ -185,7 +184,6 @@ class TcpSource final : public net::Agent {
   std::int64_t snd_una_{0};   ///< lowest unacknowledged
   std::int64_t snd_nxt_{0};   ///< next to send
   std::int64_t max_sent_{-1}; ///< highest sequence ever transmitted
-  std::unique_ptr<CongestionControl> cc_;
   double cwnd_peak_{0.0};
   int dup_acks_{0};
   bool in_recovery_{false};
@@ -205,6 +203,9 @@ class TcpSource final : public net::Agent {
   sim::SimTime finish_time_{};
   TcpSourceStats stats_;
   CompletionCallback on_complete_;
+  /// The strategy, in place. Last, so the machinery fields above stay
+  /// together ahead of its few hundred bytes (BBR's is the largest).
+  CcHolder cc_;
 };
 
 }  // namespace rbs::tcp

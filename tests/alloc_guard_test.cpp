@@ -1,8 +1,9 @@
-// Allocation guard for topology set-up: building and tearing down a
-// Simulation plus a Dumbbell must make a number of heap allocations that
-// does not grow with the leaf count, and free every one of them. Every
-// bisection probe builds a fresh world, so a per-leaf allocation is paid
-// once per leaf per probe.
+// Allocation guard for world set-up: building and tearing down a
+// Simulation plus a Dumbbell, with or without a long-flow workload on it,
+// must make a number of heap allocations that does not grow with the leaf
+// or flow count, and free every one of them. Every bisection probe builds a
+// fresh world, so a per-leaf or per-flow allocation is paid once per leaf
+// or flow per probe.
 //
 // This file replaces the global operator new and operator delete with
 // counting versions, which is why it is a test executable of its own.
@@ -11,9 +12,11 @@
 #include <cstddef>
 #include <cstdlib>
 #include <new>
+#include <vector>
 
 #include "net/dumbbell.hpp"
 #include "sim/simulation.hpp"
+#include "traffic/long_flow_workload.hpp"
 
 namespace {
 
@@ -97,6 +100,39 @@ AllocCounts build_and_tear_down(int leaves) {
   return g_counts;
 }
 
+/// Allocations made while building and tearing down one world that runs a
+/// long-lived flow on each of its `flows` leaves. With `starts_only`, the
+/// world schedules one no-op event at each time a flow would start, in the
+/// same order, and builds no flow: what the N start events alone cost the
+/// scheduler's pending-event storage.
+AllocCounts build_and_tear_down_with_flows(int flows, bool starts_only = false) {
+  net::DumbbellConfig cfg;
+  cfg.num_leaves = flows;
+  const traffic::LongFlowWorkloadConfig workload_cfg;
+  std::vector<sim::SimTime> starts;
+  if (starts_only) {
+    sim::Simulation sim{1};
+    net::Dumbbell topo{sim, cfg};
+    const traffic::LongFlowWorkload workload{sim, topo, workload_cfg};
+    for (int i = 0; i < workload.num_flows(); ++i) {
+      starts.push_back(workload.source(i).start_time());
+    }
+  }
+  g_counts = AllocCounts{};
+  g_counting = true;
+  {
+    sim::Simulation sim{1};
+    net::Dumbbell topo{sim, cfg};
+    if (starts_only) {
+      for (const sim::SimTime t : starts) sim.at(t, [] {}, sim::EventClass::kWorkload);
+    } else {
+      const traffic::LongFlowWorkload workload{sim, topo, workload_cfg};
+    }
+  }
+  g_counting = false;
+  return g_counts;
+}
+
 TEST(AllocationGuard, CountingOperatorNewIsInstalled) {
   g_counts = AllocCounts{};
   g_counting = true;
@@ -123,6 +159,30 @@ TEST(AllocationGuard, DumbbellTeardownFreesEveryAllocation) {
     const AllocCounts counts = build_and_tear_down(leaves);
     EXPECT_GT(counts.allocations, 0u) << leaves << " leaves";
     EXPECT_EQ(counts.frees, counts.allocations) << leaves << " leaves";
+  }
+}
+
+TEST(AllocationGuard, LongFlowsAllocateNothingBeyondTheirStartEvents) {
+  // The workload's two blocks aside, a flow registers on its hosts and
+  // builds its congestion control in place. What remains is the scheduler
+  // storing each flow's start event, which grows with the number of
+  // pending events rather than with flows, so it is measured on its own.
+  (void)build_and_tear_down_with_flows(50);
+  for (const int flows : {50, 500}) {
+    const AllocCounts world = build_and_tear_down_with_flows(flows);
+    const AllocCounts starts = build_and_tear_down_with_flows(flows, /*starts_only=*/true);
+    EXPECT_EQ(world.allocations, starts.allocations + 2)
+        << flows << " flows: " << world.allocations << " allocations with the workload, "
+        << starts.allocations << " for its start events alone";
+  }
+}
+
+TEST(AllocationGuard, LongFlowWorldTeardownFreesEveryAllocation) {
+  (void)build_and_tear_down_with_flows(50);
+  for (const int flows : {1, 50, 500}) {
+    const AllocCounts counts = build_and_tear_down_with_flows(flows);
+    EXPECT_GT(counts.allocations, 0u) << flows << " flows";
+    EXPECT_EQ(counts.frees, counts.allocations) << flows << " flows";
   }
 }
 

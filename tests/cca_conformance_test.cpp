@@ -74,7 +74,7 @@ TEST(FlavorNames, RoundTripForAllSix) {
 TEST(FlavorNames, MachineryFlagsPerFlavor) {
   const CcConfig cfg;
   for (const TcpFlavor f : all_flavors()) {
-    const auto cc = make_congestion_control(f, cfg);
+    CcHolder cc{f, cfg};
     EXPECT_EQ(cc->loss_restarts_slow_start(), f == TcpFlavor::kTahoe) << flavor_name(f);
     EXPECT_EQ(cc->wants_pacing(), f == TcpFlavor::kBbr) << flavor_name(f);
     // Partial-ACK hole repair: everything NewReno-derived; plain Reno exits
@@ -92,7 +92,7 @@ TEST(FlavorNames, MachineryFlagsPerFlavor) {
 
 std::uint64_t reno_family_trace_hash(TcpFlavor flavor) {
   const CcConfig cfg;
-  const auto cc = make_congestion_control(flavor, cfg);
+  CcHolder cc{flavor, cfg};
   std::string trace;
   const auto snap = [&] {
     char buf[80];
@@ -153,8 +153,8 @@ TEST(RenoFamilyPins, RenoAndNewRenoDifferOnlyInMachineryFlags) {
   // the flavors differ in *when* TcpSource calls the hooks (partial-ACK
   // repair), not in the arithmetic of the hooks themselves.
   const CcConfig cfg;
-  const auto reno = make_congestion_control(TcpFlavor::kReno, cfg);
-  const auto newreno = make_congestion_control(TcpFlavor::kNewReno, cfg);
+  CcHolder reno{TcpFlavor::kReno, cfg};
+  CcHolder newreno{TcpFlavor::kNewReno, cfg};
   EXPECT_FALSE(reno->partial_ack_repair());
   EXPECT_TRUE(newreno->partial_ack_repair());
 }
@@ -512,7 +512,7 @@ TEST_P(CcaAxioms, RandomizedEventSequencesKeepStateSane) {
   const CcConfig cfg;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     sim::Rng rng{seed * 7919};
-    const auto cc = make_congestion_control(GetParam(), cfg);
+    CcHolder cc{GetParam(), cfg};
     auto now = SimTime::milliseconds(1);
     const auto min_rtt = SimTime::milliseconds(20);
     std::int64_t una = 0;
@@ -590,7 +590,7 @@ TEST_P(CcaAxioms, RandomizedEventSequencesKeepStateSane) {
 
 TEST_P(CcaAxioms, TimeoutAlwaysCollapsesToOnePacket) {
   const CcConfig cfg;
-  const auto cc = make_congestion_control(GetParam(), cfg);
+  CcHolder cc{GetParam(), cfg};
   cc->on_acked_increase(make_ctx(SimTime::seconds(1), 0, 64), 62);
   cc->on_timeout(make_ctx(SimTime::seconds(1), 0, 64), false);
   EXPECT_DOUBLE_EQ(cc->cwnd(), 1.0);
@@ -599,7 +599,7 @@ TEST_P(CcaAxioms, TimeoutAlwaysCollapsesToOnePacket) {
 TEST_P(CcaAxioms, WindowCcasSpreadOneCwndOverOneRtt) {
   if (GetParam() == TcpFlavor::kBbr) return;  // rate-based: pinned above
   const CcConfig cfg;
-  const auto cc = make_congestion_control(GetParam(), cfg);
+  CcHolder cc{GetParam(), cfg};
   const auto ctx = make_ctx(SimTime::seconds(1), 0, 10);
   const auto srtt = SimTime::milliseconds(100);
   // The pre-refactor formula, bit for bit: srtt / cwnd, truncated to ps.

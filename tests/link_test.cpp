@@ -172,6 +172,25 @@ TEST(LinkConfigTest, NegativePropagationDelayThrows) {
                         borrowed, sink}));
 }
 
+TEST(LinkConfigTest, RateEdgeForAMaximumSizePacketIsPinned) {
+  // The slowest accepted rate serializes a 65'535-byte packet just inside
+  // the SimTime range. Both neighbours of the edge are pinned bit for bit,
+  // as sim::transmission_time placed them.
+  sim::Simulation sim{1};
+  RecordingSink sink{sim};
+  DropTailQueue queue{1};
+  constexpr double kLargestRejected = 0x1.d1a77876b5ep-5;   // ~0.0568 b/s
+  constexpr double kSmallestAccepted = 0x1.d1a77876b5e01p-5;
+  static_assert(kSmallestAccepted > kLargestRejected);
+  const auto build = [&](double bps) {
+    Link link{sim, "edge", Link::Config{core::BitsPerSec{bps}, 1_ms}, queue, sink};
+  };
+  EXPECT_THROW(build(kLargestRejected), std::invalid_argument);
+  EXPECT_NO_THROW(build(kSmallestAccepted));
+  EXPECT_TRUE(sim::transmission_time(8LL * 65'535, kLargestRejected).is_infinite());
+  EXPECT_FALSE(sim::transmission_time(8LL * 65'535, kSmallestAccepted).is_infinite());
+}
+
 TEST(LinkConfigTest, NullOwnedQueueThrows) {
   sim::Simulation sim{1};
   RecordingSink sink{sim};

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/simulation.hpp"
@@ -103,6 +105,105 @@ TEST(Host, ReregisteringAFlowRoutesToTheNewAgent) {
   EXPECT_EQ(host.unclaimed_packets(), 0u);
 }
 
+// Host keeps its first Host::kInlineAgents agents in inline slots and the
+// rest in an overflow map; the tests below cover both states.
+constexpr FlowId kMoreThanInline = static_cast<FlowId>(Host::kInlineAgents) + 6;
+
+TEST(Host, AgentsPastTheInlineSlotsOverflowAndStillReceive) {
+  sim::Simulation sim{1};
+  Host host{sim, 7, "h"};
+  std::vector<CountingAgent> agents(kMoreThanInline);
+  for (FlowId f = 0; f < kMoreThanInline; ++f) host.register_agent(500 + f, agents[f]);
+  for (int round = 0; round < 2; ++round) {
+    for (FlowId f = kMoreThanInline; f-- > 0;) host.receive(make_packet(500 + f, 7, f));
+  }
+  for (FlowId f = 0; f < kMoreThanInline; ++f) {
+    EXPECT_EQ(agents[f].received, (std::vector<std::int64_t>{f, f})) << f;
+  }
+  EXPECT_EQ(host.unclaimed_packets(), 0u);
+}
+
+TEST(Host, DuplicateRegistrationThrowsForInlineAndOverflowAgents) {
+  sim::Simulation sim{1};
+  Host host{sim, 7, "h"};
+  std::vector<CountingAgent> agents(kMoreThanInline);
+  for (FlowId f = 0; f < kMoreThanInline; ++f) host.register_agent(f, agents[f]);
+  CountingAgent intruder;
+  const FlowId inline_flow = 0;
+  const FlowId overflow_flow = kMoreThanInline - 1;
+  EXPECT_THROW(host.register_agent(inline_flow, intruder), std::invalid_argument);
+  EXPECT_THROW(host.register_agent(overflow_flow, intruder), std::invalid_argument);
+  // A failed registration leaves the first agent in place.
+  host.receive(make_packet(inline_flow, 7, 1));
+  host.receive(make_packet(overflow_flow, 7, 2));
+  EXPECT_TRUE(intruder.received.empty());
+  EXPECT_EQ(agents[inline_flow].received, (std::vector<std::int64_t>{1}));
+  EXPECT_EQ(agents[overflow_flow].received, (std::vector<std::int64_t>{2}));
+
+  // With a slot freed, a flow still in the overflow map is still taken.
+  host.unregister_agent(1);
+  EXPECT_THROW(host.register_agent(overflow_flow, intruder), std::invalid_argument);
+}
+
+TEST(Host, UnregisterThenReregisterInlineAndOverflowAgents) {
+  sim::Simulation sim{1};
+  Host host{sim, 7, "h"};
+  std::vector<CountingAgent> agents(kMoreThanInline);
+  for (FlowId f = 0; f < kMoreThanInline; ++f) host.register_agent(f, agents[f]);
+  const FlowId inline_flow = 1;
+  const FlowId overflow_flow = kMoreThanInline - 2;
+  host.unregister_agent(inline_flow);
+  host.unregister_agent(overflow_flow);
+  host.receive(make_packet(inline_flow, 7, 1));
+  host.receive(make_packet(overflow_flow, 7, 2));
+  EXPECT_EQ(host.unclaimed_packets(), 2u);
+
+  // Re-register in the opposite order: the overflow flow takes the freed
+  // inline slot, the inline flow lands in the overflow map.
+  CountingAgent new_overflow, new_inline;
+  host.register_agent(overflow_flow, new_overflow);
+  host.register_agent(inline_flow, new_inline);
+  host.receive(make_packet(inline_flow, 7, 3));
+  host.receive(make_packet(overflow_flow, 7, 4));
+  EXPECT_EQ(new_inline.received, (std::vector<std::int64_t>{3}));
+  EXPECT_EQ(new_overflow.received, (std::vector<std::int64_t>{4}));
+  EXPECT_TRUE(agents[inline_flow].received.empty());
+  EXPECT_TRUE(agents[overflow_flow].received.empty());
+  EXPECT_EQ(host.unclaimed_packets(), 2u);
+  // Every other agent is untouched and still reachable.
+  for (FlowId f = 0; f < kMoreThanInline; ++f) {
+    if (f == inline_flow || f == overflow_flow) continue;
+    host.receive(make_packet(f, 7, 10 + f));
+    EXPECT_EQ(agents[f].received, (std::vector<std::int64_t>{10 + f})) << f;
+  }
+}
+
+TEST(Host, CountsUnclaimedPacketsWithAndWithoutOverflow) {
+  sim::Simulation sim{1};
+  Host host{sim, 7, "h"};
+  std::vector<CountingAgent> agents(kMoreThanInline);
+  // Inline slots only.
+  for (FlowId f = 0; f < Host::kInlineAgents; ++f) host.register_agent(f, agents[f]);
+  host.receive(make_packet(1000, 7));
+  host.receive(make_packet(0, 7));
+  EXPECT_EQ(host.unclaimed_packets(), 1u);
+  // Overflow in use.
+  for (FlowId f = Host::kInlineAgents; f < kMoreThanInline; ++f) {
+    host.register_agent(f, agents[f]);
+  }
+  host.receive(make_packet(1000, 7));
+  host.receive(make_packet(kMoreThanInline - 1, 7));
+  EXPECT_EQ(host.unclaimed_packets(), 2u);
+  // Everything unregistered: every packet is unclaimed.
+  for (FlowId f = 0; f < kMoreThanInline; ++f) host.unregister_agent(f);
+  for (FlowId f = 0; f < kMoreThanInline; ++f) host.receive(make_packet(f, 7));
+  EXPECT_EQ(host.unclaimed_packets(), 2u + kMoreThanInline);
+  for (FlowId f = 0; f < kMoreThanInline; ++f) {
+    const bool delivered = f == 0 || f == kMoreThanInline - 1;
+    EXPECT_EQ(agents[f].received.size(), delivered ? 1u : 0u) << f;
+  }
+}
+
 TEST(Host, SendGoesToUplink) {
   sim::Simulation sim{1};
   Host host{sim, 7, "h"};
@@ -111,6 +212,18 @@ TEST(Host, SendGoesToUplink) {
   host.send(make_packet(1, 9, 5));
   ASSERT_EQ(uplink.received.size(), 1u);
   EXPECT_EQ(uplink.received[0].seq, 5);
+}
+
+TEST(MakeName, JoinsPiecesAndDecimalIndices) {
+  EXPECT_EQ(make_name("acc_up_", 7), "acc_up_7");
+  EXPECT_EQ(make_name("receiver_", std::size_t{499}), "receiver_499");
+  EXPECT_EQ(make_name("loc_snd_", 2, "_", 0, "_up"), "loc_snd_2_0_up");
+  EXPECT_EQ(make_name(std::string{"e2e_rcv_12"}, "_down"), "e2e_rcv_12_down");
+  EXPECT_EQ(make_name("x", -3), "x-3");
+  EXPECT_EQ(make_name("n", std::uint64_t{18446744073709551615u}), "n18446744073709551615");
+  EXPECT_EQ(make_name(std::string(64, 'a')), std::string(64, 'a'));
+  EXPECT_THROW((void)make_name(std::string(64, 'a'), 1), std::length_error);
+  EXPECT_THROW((void)make_name(std::string(65, 'a')), std::length_error);
 }
 
 TEST(Router, RoutesByDestination) {
