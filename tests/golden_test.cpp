@@ -15,6 +15,7 @@
 
 #include "check/auditor.hpp"
 #include "core/short_flow_model.hpp"
+#include "experiment/cca_matrix.hpp"
 #include "experiment/long_flow_experiment.hpp"
 #include "experiment/mixed_flow_experiment.hpp"
 #include "experiment/scenarios.hpp"
@@ -203,6 +204,46 @@ TEST(Golden, NoFaultMixedFlowRunIsBitwiseIdenticalToPreFaultBaseline) {
   EXPECT_EQ(r.long_flow_throughput_bps, 0x1.a1a08p+23);
   EXPECT_EQ(r.short_flows_completed, 171u);
   EXPECT_EQ(r.fault_drops, 0u);
+}
+
+// --- Modern congestion control --------------------------------------------
+//
+// One short long-flow run per non-AIMD flavor, under its CCA-matrix profile
+// (DCTCP over step-marking RED), so the CUBIC, BBR and DCTCP arithmetic is
+// pinned at the experiment level as exactly as the Reno family is above.
+
+experiment::LongFlowExperimentResult run_cca_pin(tcp::TcpFlavor flavor) {
+  experiment::LongFlowExperimentConfig cfg;
+  cfg.num_flows = 20;
+  cfg.buffer_packets = 60;
+  cfg.bottleneck_rate = core::BitsPerSec{50e6};
+  cfg.warmup = SimTime::seconds(2);
+  cfg.measure = SimTime::seconds(5);
+  cfg.seed = 7;
+  cfg.telemetry.metrics = true;
+  experiment::apply_cca_profile(cfg, flavor, cfg.buffer_packets);
+  return run_long_flow_experiment(cfg);
+}
+
+TEST(Golden, CubicLongFlowRunIsPinned) {
+  const auto r = run_cca_pin(tcp::TcpFlavor::kCubic);
+  EXPECT_EQ(r.utilization, 0x1.3404ea4a8c155p-1);  // 0.6016
+  EXPECT_EQ(r.loss_rate, 0x1.0e92936d17ecfp-3);
+  EXPECT_EQ(fnv1a(r.telemetry.snapshot.to_json()), 16464722745454468168ull);
+}
+
+TEST(Golden, BbrLongFlowRunIsPinned) {
+  const auto r = run_cca_pin(tcp::TcpFlavor::kBbr);
+  EXPECT_EQ(r.utilization, 0x1.d898b2e9ccb7dp-1);  // 0.92304
+  EXPECT_EQ(r.loss_rate, 0x1.1a0808547d8bbp-4);
+  EXPECT_EQ(fnv1a(r.telemetry.snapshot.to_json()), 11968212801277789307ull);
+}
+
+TEST(Golden, DctcpLongFlowRunIsPinned) {
+  const auto r = run_cca_pin(tcp::TcpFlavor::kDctcp);
+  EXPECT_EQ(r.utilization, 0x1.5f8d2e514c22fp-1);  // 0.686624
+  EXPECT_EQ(r.loss_rate, 0x1.c3d3b6278ef3p-7);
+  EXPECT_EQ(fnv1a(r.telemetry.snapshot.to_json()), 5604674951272686241ull);
 }
 
 // --- Full-surface pins ---------------------------------------------------
