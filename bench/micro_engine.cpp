@@ -179,9 +179,11 @@ void BM_CcaStep(benchmark::State& state) {
   // 8192 ACKs so the reduction/epoch paths stay in the profile. Arg indexes
   // all_flavors(); the label names the flavor. The Reno row is the cost the
   // pre-refactor inlined arithmetic paid; CUBIC adds the cubic-root epoch
-  // math, BBR the max-filter and phase machine, DCTCP the EWMA fold.
+  // math, BBR the phase machine (plus, once per round, the max over its
+  // 10-slot bandwidth filter), DCTCP the EWMA fold. Every flavor runs its
+  // fixed tuning from a default TcpConfig.
   const auto flavor = tcp::all_flavors()[static_cast<std::size_t>(state.range(0))];
-  const tcp::CcConfig cfg;
+  const tcp::TcpConfig cfg;
   tcp::CcHolder cc{flavor, cfg};
   tcp::CcContext ctx;
   ctx.srtt = sim::SimTime::milliseconds(50);

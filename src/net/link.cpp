@@ -33,12 +33,12 @@ Link::Link(sim::Simulation& sim, std::string name, Config config, Queue& queue,
   if (!(std::isfinite(config_.rate.bps()) && config_.rate.bps() > 0.0)) {
     throw std::invalid_argument("link '" + name_ + "': rate must be positive and finite");
   }
-  // A rate so slow that a maximum-size IPv4 packet (65'535 bytes, larger
+  // A rate so slow that a maximum-size packet (kMaxPacketBytes, larger
   // than any segment a real run sends) cannot be serialized inside the
   // SimTime range is a unit mistake, not a link. This is the picosecond
   // count sim::transmission_time computes, tested against the 2^63 edge
   // where SimTime::from_seconds saturates, without rounding it.
-  constexpr double kMaxPacketBits = 8.0 * 65'535;
+  constexpr double kMaxPacketBits = 8.0 * kMaxPacketBytes;
   if (!(kMaxPacketBits / config_.rate.bps() * 1e12 < 0x1p63)) {
     throw std::invalid_argument("link '" + name_ +
                                 "': rate is too slow to serialize a packet in simulated time");

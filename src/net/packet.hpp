@@ -20,6 +20,10 @@ using FlowId = std::uint32_t;
 
 inline constexpr NodeId kInvalidNode = 0xFFFFFFFFu;
 
+/// The largest packet a link carries or a TCP segment may be: a maximum-size
+/// IPv4 packet.
+inline constexpr std::int32_t kMaxPacketBytes = 65'535;
+
 enum class PacketKind : std::uint8_t {
   kTcpData,  ///< TCP segment carrying MSS bytes of payload
   kTcpAck,   ///< pure cumulative acknowledgment

@@ -42,7 +42,7 @@ void RenoFamilyCc::on_acked_increase(const CcContext& ctx, std::int64_t incremen
       cwnd_ += 1.0 / cwnd_;  // congestion avoidance
     }
   }
-  cwnd_ = std::min(cwnd_, static_cast<double>(config_.max_window));
+  cwnd_ = std::min(cwnd_, max_window_);
 }
 
 bool RenoFamilyCc::on_ecn_reduction(const CcContext& ctx) {
@@ -77,7 +77,7 @@ void RenoFamilyCc::on_timeout(const CcContext& ctx, bool was_in_recovery) {
 
 double CubicCc::cubic_window(double t_sec) const noexcept {
   const double d = t_sec - k_;
-  return config_.cubic.c * d * d * d + w_max_;
+  return kC * d * d * d + w_max_;
 }
 
 void CubicCc::reduce() {
@@ -85,12 +85,12 @@ void CubicCc::reduce() {
   // Fast convergence: when the window at loss is below the previous W_max,
   // another flow is taking the capacity — release it early by shrinking the
   // plateau below the current window (RFC 8312 §4.6).
-  if (config_.cubic.fast_convergence && cwnd_ < w_max_) {
-    w_max_ = cwnd_ * (2.0 - config_.cubic.beta) / 2.0;
+  if (cwnd_ < w_max_) {
+    w_max_ = cwnd_ * (2.0 - kBeta) / 2.0;
   } else {
     w_max_ = cwnd_;
   }
-  ssthresh_ = std::max(cwnd_ * config_.cubic.beta, 2.0);
+  ssthresh_ = std::max(cwnd_ * kBeta, 2.0);
 }
 
 void CubicCc::on_ack(const CcContext& ctx, std::int64_t newly_acked, sim::SimTime rtt_sample,
@@ -101,8 +101,7 @@ void CubicCc::on_ack(const CcContext& ctx, std::int64_t newly_acked, sim::SimTim
   // a round-trip sample exceeds the lifetime floor by η, queueing has begun
   // and slow start has found the pipe — hand over to congestion avoidance by
   // pulling ssthresh down to the current window.
-  if (!config_.cubic.hystart || cwnd_ >= ssthresh_) return;
-  if (cwnd_ < config_.cubic.hystart_low_window) return;
+  if (cwnd_ >= ssthresh_ || cwnd_ < kHystartLowWindow) return;
   if (rtt_sample <= sim::SimTime::zero() || ctx.min_rtt <= sim::SimTime::zero()) return;
   const auto eta = std::clamp(sim::SimTime::picoseconds(ctx.min_rtt.ps() / 8),
                               sim::SimTime::milliseconds(4), sim::SimTime::milliseconds(16));
@@ -113,7 +112,7 @@ void CubicCc::on_acked_increase(const CcContext& ctx, std::int64_t increments) {
   if (cwnd_ < ssthresh_) {
     // Slow start, identical to Reno.
     for (std::int64_t i = 0; i < increments; ++i) cwnd_ += 1.0;
-    cwnd_ = std::min(cwnd_, static_cast<double>(config_.max_window));
+    cwnd_ = std::min(cwnd_, max_window_);
     return;
   }
   if (!epoch_valid_) {
@@ -125,15 +124,14 @@ void CubicCc::on_acked_increase(const CcContext& ctx, std::int64_t increments) {
       w_max_ = cwnd_;
       k_ = 0.0;
     } else {
-      k_ = std::cbrt((w_max_ - cwnd_) / config_.cubic.c);
+      k_ = std::cbrt((w_max_ - cwnd_) / kC);
     }
     w_est_ = cwnd_;
   }
   // RFC 8312 §4.1: target is the cubic evaluated one RTT ahead.
   const double rtt_sec = ctx.has_rtt ? ctx.srtt.to_seconds() : 0.0;
-  const double beta = config_.cubic.beta;
   // Per-ACK AIMD-equivalent growth for the TCP-friendly region (§4.2).
-  const double est_slope = 3.0 * (1.0 - beta) / (1.0 + beta);
+  constexpr double kEstSlope = 3.0 * (1.0 - kBeta) / (1.0 + kBeta);
   for (std::int64_t i = 0; i < increments; ++i) {
     const double t = (ctx.now - epoch_start_).to_seconds() + rtt_sec;
     const double target = cubic_window(t);
@@ -142,12 +140,10 @@ void CubicCc::on_acked_increase(const CcContext& ctx, std::int64_t increments) {
     } else {
       cwnd_ += 0.01 / cwnd_;  // minimum growth in the plateau region
     }
-    if (config_.cubic.tcp_friendly) {
-      w_est_ += est_slope / cwnd_;
-      if (w_est_ > cwnd_) cwnd_ = w_est_;
-    }
+    w_est_ += kEstSlope / cwnd_;
+    if (w_est_ > cwnd_) cwnd_ = w_est_;
   }
-  cwnd_ = std::min(cwnd_, static_cast<double>(config_.max_window));
+  cwnd_ = std::min(cwnd_, max_window_);
 }
 
 bool CubicCc::on_ecn_reduction(const CcContext& ctx) {
@@ -178,11 +174,6 @@ constexpr std::array<double, 8> kBbrGainCycle = {1.25, 0.75, 1.0, 1.0,
                                                  1.0,  1.0,  1.0, 1.0};
 }  // namespace
 
-BbrCc::BbrCc(const CcConfig& config) noexcept
-    : CongestionControl{config},
-      pacing_gain_{config.bbr.startup_gain},
-      cwnd_gain_{config.bbr.startup_gain} {}
-
 double BbrCc::bdp_estimate() const noexcept {
   if (btl_bw_ <= 0.0 || !min_rtt_valid_) return 0.0;
   return btl_bw_ * min_rtt_.to_seconds();
@@ -190,24 +181,26 @@ double BbrCc::bdp_estimate() const noexcept {
 
 double BbrCc::target_cwnd() const noexcept {
   const double bdp = bdp_estimate();
-  if (bdp <= 0.0) return static_cast<double>(config_.max_window);
+  if (bdp <= 0.0) return max_window_;
   return std::max(cwnd_gain_ * bdp, kBbrMinCwnd);
 }
 
 void BbrCc::push_bw_sample(double bw) noexcept {
-  // Monotonic-deque windowed max over the last bw_filter_rounds rounds.
-  while (!bw_window_.empty() && bw_window_.back().second <= bw) bw_window_.pop_back();
-  bw_window_.emplace_back(round_count_, bw);
-  const std::int64_t horizon = round_count_ - config_.bbr.bw_filter_rounds;
-  while (!bw_window_.empty() && bw_window_.front().first <= horizon) bw_window_.pop_front();
-  btl_bw_ = bw_window_.empty() ? bw : bw_window_.front().second;
+  // Windowed max over the last kBwFilterRounds rounds. A round yields at
+  // most one sample, so its slot holds either it or a stale round.
+  bw_window_[static_cast<std::size_t>(round_count_ % kBwFilterRounds)] = {round_count_, bw};
+  const std::int64_t horizon = round_count_ - kBwFilterRounds;
+  btl_bw_ = bw;
+  for (const BwSample& s : bw_window_) {
+    if (s.round > horizon) btl_bw_ = std::max(btl_bw_, s.bw);
+  }
 }
 
 void BbrCc::enter_probe_bw(sim::SimTime now) noexcept {
   phase_ = Phase::kProbeBw;
   cycle_index_ = 2;  // start in a cruise slot (deterministic; BBRv1 randomizes)
   pacing_gain_ = kBbrGainCycle[static_cast<std::size_t>(cycle_index_)];
-  cwnd_gain_ = config_.bbr.cwnd_gain;
+  cwnd_gain_ = kCwndGain;
   cycle_stamp_ = now;
 }
 
@@ -215,7 +208,7 @@ void BbrCc::advance_state(const CcContext& ctx) noexcept {
   // ProbeRtt entry: the min-RTT estimate went stale. Deflate to a token
   // window so the queue drains and the next samples see propagation delay.
   if (phase_ != Phase::kProbeRtt && min_rtt_valid_ &&
-      ctx.now - min_rtt_stamp_ > config_.bbr.min_rtt_window) {
+      ctx.now - min_rtt_stamp_ > kMinRttWindow) {
     phase_ = Phase::kProbeRtt;
     pacing_gain_ = 1.0;
     cwnd_gain_ = 1.0;
@@ -227,7 +220,7 @@ void BbrCc::advance_state(const CcContext& ctx) noexcept {
     case Phase::kStartup:
       if (full_pipe_) {
         phase_ = Phase::kDrain;
-        pacing_gain_ = 1.0 / config_.bbr.startup_gain;
+        pacing_gain_ = 1.0 / kStartupGain;
       }
       break;
     case Phase::kDrain:
@@ -243,15 +236,15 @@ void BbrCc::advance_state(const CcContext& ctx) noexcept {
       break;
     }
     case Phase::kProbeRtt:
-      if (ctx.now - probe_rtt_start_ >= config_.bbr.probe_rtt_duration) {
+      if (ctx.now - probe_rtt_start_ >= kProbeRttDuration) {
         min_rtt_stamp_ = ctx.now;  // refreshed: the drained queue was observed
         cwnd_ = std::max(cwnd_, probe_rtt_saved_cwnd_);  // bbr_restore_cwnd
         if (full_pipe_) {
           enter_probe_bw(ctx.now);
         } else {
           phase_ = Phase::kStartup;
-          pacing_gain_ = config_.bbr.startup_gain;
-          cwnd_gain_ = config_.bbr.startup_gain;
+          pacing_gain_ = kStartupGain;
+          cwnd_gain_ = kStartupGain;
         }
       }
       break;
@@ -299,7 +292,7 @@ void BbrCc::on_ack(const CcContext& ctx, std::int64_t newly_acked, sim::SimTime 
         // Tainted rounds count as no-growth rounds — a retransmission storm
         // is the strongest possible evidence the pipe is already full, and
         // skipping them would pin Startup's 2.885 gain through the storm.
-        if (!tainted && btl_bw_ >= full_pipe_bw_ * config_.bbr.full_pipe_growth) {
+        if (!tainted && btl_bw_ >= full_pipe_bw_ * kFullPipeGrowth) {
           full_pipe_bw_ = btl_bw_;
           full_pipe_rounds_ = 0;
         } else if (++full_pipe_rounds_ >= 3) {
@@ -323,7 +316,7 @@ void BbrCc::on_acked_increase(const CcContext& ctx, std::int64_t increments) {
   }
   cwnd_ = std::min(cwnd_ + static_cast<double>(increments), target_cwnd());
   cwnd_ = std::max(cwnd_, kBbrMinCwnd);
-  cwnd_ = std::min(cwnd_, static_cast<double>(config_.max_window));
+  cwnd_ = std::min(cwnd_, max_window_);
 }
 
 bool BbrCc::on_ecn_reduction(const CcContext& ctx) {
@@ -352,7 +345,7 @@ void BbrCc::on_recovery_partial_ack(const CcContext& ctx, std::int64_t newly_ack
 void BbrCc::on_recovery_exit(const CcContext& ctx) {
   (void)ctx;
   cwnd_ = std::max(prior_cwnd_, target_cwnd());
-  cwnd_ = std::min(cwnd_, static_cast<double>(config_.max_window));
+  cwnd_ = std::min(cwnd_, max_window_);
   prior_cwnd_ = 0.0;
 }
 
@@ -397,7 +390,7 @@ void DctcpCc::on_ack(const CcContext& ctx, std::int64_t newly_acked, sim::SimTim
     if (window_acked_ > 0) {
       const double f =
           std::min(1.0, static_cast<double>(window_marked_) / static_cast<double>(window_acked_));
-      alpha_ = (1.0 - config_.dctcp.gain) * alpha_ + config_.dctcp.gain * f;
+      alpha_ = (1.0 - kGain) * alpha_ + kGain * f;
     }
     window_acked_ = 0;
     window_marked_ = 0;
@@ -414,7 +407,7 @@ void DctcpCc::on_acked_increase(const CcContext& ctx, std::int64_t increments) {
       cwnd_ += 1.0 / cwnd_;
     }
   }
-  cwnd_ = std::min(cwnd_, static_cast<double>(config_.max_window));
+  cwnd_ = std::min(cwnd_, max_window_);
 }
 
 bool DctcpCc::on_ecn_reduction(const CcContext& ctx) {
@@ -442,7 +435,7 @@ void DctcpCc::on_timeout(const CcContext& ctx, bool was_in_recovery) {
 
 // --- In-place holder --------------------------------------------------------
 
-CcHolder::Strategy CcHolder::make(TcpFlavor flavor, const CcConfig& config) noexcept {
+CcHolder::Strategy CcHolder::make(TcpFlavor flavor, const TcpConfig& config) noexcept {
   switch (flavor) {
     case TcpFlavor::kTahoe:
     case TcpFlavor::kReno:
@@ -458,7 +451,7 @@ CcHolder::Strategy CcHolder::make(TcpFlavor flavor, const CcConfig& config) noex
   return Strategy{std::in_place_type<RenoFamilyCc>, config, TcpFlavor::kNewReno};
 }
 
-CcHolder::CcHolder(TcpFlavor flavor, const CcConfig& config) noexcept
+CcHolder::CcHolder(TcpFlavor flavor, const TcpConfig& config) noexcept
     : strategy_{make(flavor, config)},
       cc_{std::visit([](CongestionControl& cc) { return &cc; }, strategy_)} {}
 

@@ -19,14 +19,14 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <deque>
+#include <limits>
 #include <optional>
 #include <string_view>
-#include <utility>
 #include <variant>
 
 #include "core/units.hpp"
 #include "sim/time.hpp"
+#include "tcp/rtt_estimator.hpp"
 
 namespace rbs::tcp {
 
@@ -50,48 +50,33 @@ enum class TcpFlavor : std::uint8_t {
 /// All six flavors, in enum order (test/report convenience).
 [[nodiscard]] const std::array<TcpFlavor, 6>& all_flavors() noexcept;
 
-/// CUBIC tuning (RFC 8312 defaults).
-struct CubicConfig {
-  double beta{0.7};             ///< multiplicative decrease factor
-  double c{0.4};                ///< cubic scaling constant, packets/sec^3
-  bool fast_convergence{true};  ///< release capacity early when shrinking
-  bool tcp_friendly{true};      ///< never grow slower than AIMD would
-  /// HyStart (RFC 9406, delay-increase variant): leave slow start as soon as
-  /// an RTT sample exceeds the lifetime minimum by a margin, instead of
-  /// waiting for loss. Deployed CUBIC ships with this on; without it,
-  /// β = 0.7 can leave ssthresh *above* the path capacity after the first
-  /// overshoot, so the window never reaches congestion avoidance and cycles
-  /// through slow-start → burst-loss → RTO forever.
-  bool hystart{true};
-  double hystart_low_window{16.0};  ///< no exit below this cwnd (packets)
-};
-
-/// BBRv1 tuning.
-struct BbrConfig {
-  double startup_gain{2.885};     ///< 2/ln2: doubles delivered rate per round
-  double cwnd_gain{2.0};          ///< cwnd = gain × estimated BDP in ProbeBw
-  double full_pipe_growth{1.25};  ///< startup exits after 3 flat rounds
-  int bw_filter_rounds{10};       ///< windowed-max filter length, round trips
-  sim::SimTime min_rtt_window{sim::SimTime::seconds(10)};
-  sim::SimTime probe_rtt_duration{sim::SimTime::milliseconds(200)};
-};
-
-/// DCTCP tuning (SIGCOMM 2010 defaults).
-struct DctcpConfig {
-  double gain{0.0625};       ///< g = 1/16, the alpha EWMA weight
-  double initial_alpha{1.0}; ///< conservative: first mark halves the window
-};
-
-/// The slice of TcpConfig a strategy needs, decoupled from TcpSource so
-/// strategies can be constructed standalone in tests and benchmarks.
-struct CcConfig {
-  double initial_cwnd{2.0};
-  double initial_ssthresh{1e12};
-  std::int64_t max_window{1'000'000};
-  core::Bytes segment{core::Bytes{1000}};
-  CubicConfig cubic{};
-  BbrConfig bbr{};
-  DctcpConfig dctcp{};
+/// A connection's configuration. The CUBIC, BBR and DCTCP tuning is not
+/// part of it: each strategy keeps its RFC or paper values as constants.
+struct TcpConfig {
+  core::Bytes segment{core::Bytes{1000}};  ///< wire size of a data packet
+  double initial_cwnd{2.0};          ///< packets; the paper's slow start "first sends two"
+  double initial_ssthresh{1e12};     ///< effectively unbounded
+  std::int64_t max_window{1'000'000};  ///< receiver window cap, packets
+  TcpFlavor flavor{TcpFlavor::kNewReno};
+  /// true: window growth counts acknowledged *packets* (robust under
+  /// delayed ACKs, like RFC 3465 byte counting). false: growth counts ACK
+  /// arrivals (classic ns-2 behaviour; halves slow-start speed under
+  /// delayed ACKs).
+  bool increase_per_acked_packet{true};
+  /// Pace new data at cwnd/SRTT instead of sending back-to-back on each
+  /// ACK. Pacing removes the slow-start burst structure, which is what lets
+  /// buffers shrink to O(log W) in the "very small buffers" follow-up work
+  /// (Enachescu et al.). Retransmissions are never paced. BBR always paces
+  /// (the model drives the pacing rate) regardless of this flag.
+  bool pacing{false};
+  /// Limited transmit (RFC 3042): send one new segment on each of the first
+  /// two duplicate ACKs, so flows with windows too small to generate three
+  /// dup ACKs can still trigger fast retransmit instead of timing out.
+  /// Off by default (the paper-era ns-2 behaviour).
+  bool limited_transmit{false};
+  /// RTT assumed for the pacing rate before the first RTT sample arrives.
+  sim::SimTime pacing_initial_rtt{sim::SimTime::milliseconds(100)};
+  RttEstimator::Config rtt{};
 };
 
 /// Connection-state snapshot passed into every strategy hook. Strategies
@@ -111,8 +96,10 @@ struct CcContext {
 /// exact points the pre-refactor code mutated the window, in the same order.
 class CongestionControl {
  public:
-  explicit CongestionControl(const CcConfig& config) noexcept
-      : config_{config}, cwnd_{config.initial_cwnd}, ssthresh_{config.initial_ssthresh} {}
+  explicit CongestionControl(const TcpConfig& config) noexcept
+      : cwnd_{config.initial_cwnd},
+        ssthresh_{config.initial_ssthresh},
+        max_window_{static_cast<double>(config.max_window)} {}
   virtual ~CongestionControl() = default;
 
   CongestionControl(const CongestionControl&) = delete;
@@ -120,7 +107,6 @@ class CongestionControl {
 
   [[nodiscard]] double cwnd() const noexcept { return cwnd_; }
   [[nodiscard]] double ssthresh() const noexcept { return ssthresh_; }
-  [[nodiscard]] const CcConfig& config() const noexcept { return config_; }
   [[nodiscard]] virtual bool in_slow_start() const noexcept { return cwnd_ < ssthresh_; }
 
   /// True if partial ACKs during recovery retransmit the next hole
@@ -194,9 +180,9 @@ class CongestionControl {
   }
 
  protected:
-  CcConfig config_;
   double cwnd_;
   double ssthresh_;
+  double max_window_;  ///< TcpConfig::max_window, the cap on cwnd
 };
 
 /// Tahoe / Reno / NewReno. One class: the three differ only in the two
@@ -204,7 +190,7 @@ class CongestionControl {
 /// bitwise-identical to the pre-refactor TcpSource.
 class RenoFamilyCc : public CongestionControl {
  public:
-  RenoFamilyCc(const CcConfig& config, TcpFlavor flavor) noexcept
+  RenoFamilyCc(const TcpConfig& config, TcpFlavor flavor) noexcept
       : CongestionControl{config}, flavor_{flavor} {}
 
   [[nodiscard]] bool partial_ack_repair() const noexcept override {
@@ -225,10 +211,19 @@ class RenoFamilyCc : public CongestionControl {
 
 /// CUBIC (RFC 8312): cubic-in-time window growth around the last loss
 /// window, with fast convergence, the TCP-friendly (AIMD-tracking) region,
-/// and HyStart (RFC 9406) slow-start exit. Loss machinery is NewReno-style.
+/// and HyStart (RFC 9406) slow-start exit, all always on. Loss machinery is
+/// NewReno-style.
 class CubicCc final : public CongestionControl {
  public:
-  explicit CubicCc(const CcConfig& config) noexcept : CongestionControl{config} {}
+  static constexpr double kBeta = 0.7;  ///< multiplicative decrease factor
+  static constexpr double kC = 0.4;     ///< cubic scaling constant, packets/sec^3
+  /// HyStart makes no exit below this cwnd (packets). HyStart itself is not
+  /// optional: without it, β = 0.7 can leave ssthresh *above* the path
+  /// capacity after the first overshoot, so the window never reaches
+  /// congestion avoidance and cycles slow-start → burst-loss → RTO forever.
+  static constexpr double kHystartLowWindow = 16.0;
+
+  explicit CubicCc(const TcpConfig& config) noexcept : CongestionControl{config} {}
 
   void on_ack(const CcContext& ctx, std::int64_t newly_acked, sim::SimTime rtt_sample,
               std::int32_t ecn_echo_count) override;
@@ -265,7 +260,14 @@ class BbrCc final : public CongestionControl {
  public:
   enum class Phase : std::uint8_t { kStartup, kDrain, kProbeBw, kProbeRtt };
 
-  explicit BbrCc(const CcConfig& config) noexcept;
+  static constexpr double kStartupGain = 2.885;   ///< 2/ln2: doubles delivered rate per round
+  static constexpr double kCwndGain = 2.0;        ///< cwnd = gain × estimated BDP in ProbeBw
+  static constexpr double kFullPipeGrowth = 1.25; ///< startup exits after 3 flat rounds
+  static constexpr int kBwFilterRounds = 10;      ///< windowed-max filter length, round trips
+  static constexpr sim::SimTime kMinRttWindow = sim::SimTime::seconds(10);
+  static constexpr sim::SimTime kProbeRttDuration = sim::SimTime::milliseconds(200);
+
+  explicit BbrCc(const TcpConfig& config) noexcept : CongestionControl{config} {}
 
   [[nodiscard]] bool wants_pacing() const noexcept override { return true; }
   [[nodiscard]] bool in_slow_start() const noexcept override {
@@ -297,19 +299,27 @@ class BbrCc final : public CongestionControl {
   void advance_state(const CcContext& ctx) noexcept;
   void enter_probe_bw(sim::SimTime now) noexcept;
 
+  /// One per-round delivery-rate sample. A slot whose round lies outside
+  /// the last kBwFilterRounds rounds is stale (the initial round is).
+  struct BwSample {
+    std::int64_t round{std::numeric_limits<std::int64_t>::min()};
+    double bw{0.0};
+  };
+
   Phase phase_{Phase::kStartup};
-  double pacing_gain_;
-  double cwnd_gain_;
+  double pacing_gain_{kStartupGain};
+  double cwnd_gain_{kStartupGain};
 
   // Delivery-rate model: per-round delivered/elapsed, max-filtered over the
-  // last bw_filter_rounds round trips.
+  // last kBwFilterRounds round trips.
   std::int64_t delivered_{0};
   std::int64_t round_start_delivered_{0};
   std::int64_t round_end_seq_{0};
   std::int64_t round_count_{0};
   sim::SimTime round_start_time_{};
   bool round_time_valid_{false};
-  std::deque<std::pair<std::int64_t, double>> bw_window_;  ///< (round, sample) max filter
+  /// Max filter: the sample of round r sits in slot r % kBwFilterRounds.
+  std::array<BwSample, kBwFilterRounds> bw_window_{};
   double btl_bw_{0.0};  ///< packets per second
   /// Rounds whose end marker lies below this sequence delivered data that
   /// was outstanding at a loss/timeout, where a retransmission that fills a
@@ -353,8 +363,11 @@ class BbrCc final : public CongestionControl {
 /// the bottleneck (RedConfig step profile; see apply_cca_profile()).
 class DctcpCc final : public CongestionControl {
  public:
-  explicit DctcpCc(const CcConfig& config) noexcept
-      : CongestionControl{config}, alpha_{config.dctcp.initial_alpha} {}
+  static constexpr double kGain = 0.0625;  ///< g = 1/16, the alpha EWMA weight
+  /// Conservative start: the first marked window halves cwnd, as Reno would.
+  static constexpr double kInitialAlpha = 1.0;
+
+  explicit DctcpCc(const TcpConfig& config) noexcept : CongestionControl{config} {}
 
   void on_ack(const CcContext& ctx, std::int64_t newly_acked, sim::SimTime rtt_sample,
               std::int32_t ecn_echo_count) override;
@@ -366,7 +379,7 @@ class DctcpCc final : public CongestionControl {
   [[nodiscard]] double alpha() const noexcept { return alpha_; }
 
  private:
-  double alpha_;
+  double alpha_{kInitialAlpha};
   std::int64_t window_acked_{0};
   std::int64_t window_marked_{0};
   std::int64_t window_end_{-1};  ///< alpha-update boundary (sequence)
@@ -378,7 +391,7 @@ class DctcpCc final : public CongestionControl {
 /// interface. Neither copyable nor movable, since it points into itself.
 class CcHolder {
  public:
-  CcHolder(TcpFlavor flavor, const CcConfig& config) noexcept;
+  CcHolder(TcpFlavor flavor, const TcpConfig& config) noexcept;
 
   CcHolder(const CcHolder&) = delete;
   CcHolder& operator=(const CcHolder&) = delete;
@@ -390,7 +403,7 @@ class CcHolder {
 
  private:
   using Strategy = std::variant<RenoFamilyCc, CubicCc, BbrCc, DctcpCc>;
-  [[nodiscard]] static Strategy make(TcpFlavor flavor, const CcConfig& config) noexcept;
+  [[nodiscard]] static Strategy make(TcpFlavor flavor, const TcpConfig& config) noexcept;
 
   Strategy strategy_;
   CongestionControl* cc_;  ///< the active alternative of strategy_

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 
 #include "check/invariant.hpp"
@@ -10,17 +11,26 @@
 
 namespace rbs::tcp {
 
-CcConfig cc_config_from(const TcpConfig& config) noexcept {
-  CcConfig cc;
-  cc.initial_cwnd = config.initial_cwnd;
-  cc.initial_ssthresh = config.initial_ssthresh;
-  cc.max_window = config.max_window;
-  cc.segment = config.segment;
-  cc.cubic = config.cubic;
-  cc.bbr = config.bbr;
-  cc.dctcp = config.dctcp;
-  return cc;
+namespace {
+
+/// `config`, once its segment and windows are checked (see the constructor).
+const TcpConfig& checked(const TcpConfig& config) {
+  const std::int64_t segment = config.segment.count();
+  if (segment < 1 || segment > net::kMaxPacketBytes) {
+    throw std::invalid_argument("TcpConfig: segment must be 1 to " +
+                                std::to_string(net::kMaxPacketBytes) + " bytes, not " +
+                                std::to_string(segment));
+  }
+  if (!(std::isfinite(config.initial_cwnd) && config.initial_cwnd >= 1.0)) {
+    throw std::invalid_argument("TcpConfig: initial_cwnd must be finite and at least 1");
+  }
+  if (config.max_window < 1) {
+    throw std::invalid_argument("TcpConfig: max_window must be at least 1");
+  }
+  return config;
 }
+
+}  // namespace
 
 TcpSource::TcpSource(sim::Simulation& sim, net::Host& host, net::NodeId dst, net::FlowId flow,
                      TcpConfig config, std::int64_t flow_packets)
@@ -28,12 +38,10 @@ TcpSource::TcpSource(sim::Simulation& sim, net::Host& host, net::NodeId dst, net
       host_{host},
       dst_{dst},
       flow_{flow},
-      config_{config},
+      config_{checked(config)},
       flow_packets_{flow_packets},
       rtt_{config.rtt},
-      cc_{config.flavor, cc_config_from(config)} {
-  assert(config_.segment.count() > 0);
-  assert(config_.initial_cwnd >= 1.0);
+      cc_{config.flavor, config} {
   host_.register_agent(flow_, *this);
 }
 

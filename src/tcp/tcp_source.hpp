@@ -23,39 +23,6 @@
 
 namespace rbs::tcp {
 
-struct TcpConfig {
-  core::Bytes segment{core::Bytes{1000}};  ///< wire size of a data packet
-  double initial_cwnd{2.0};          ///< packets; the paper's slow start "first sends two"
-  double initial_ssthresh{1e12};     ///< effectively unbounded
-  std::int64_t max_window{1'000'000};  ///< receiver window cap, packets
-  TcpFlavor flavor{TcpFlavor::kNewReno};
-  /// true: window growth counts acknowledged *packets* (robust under
-  /// delayed ACKs, like RFC 3465 byte counting). false: growth counts ACK
-  /// arrivals (classic ns-2 behaviour; halves slow-start speed under
-  /// delayed ACKs).
-  bool increase_per_acked_packet{true};
-  /// Pace new data at cwnd/SRTT instead of sending back-to-back on each
-  /// ACK. Pacing removes the slow-start burst structure, which is what lets
-  /// buffers shrink to O(log W) in the "very small buffers" follow-up work
-  /// (Enachescu et al.). Retransmissions are never paced. BBR always paces
-  /// (the model drives the pacing rate) regardless of this flag.
-  bool pacing{false};
-  /// Limited transmit (RFC 3042): send one new segment on each of the first
-  /// two duplicate ACKs, so flows with windows too small to generate three
-  /// dup ACKs can still trigger fast retransmit instead of timing out.
-  /// Off by default (the paper-era ns-2 behaviour).
-  bool limited_transmit{false};
-  /// RTT assumed for the pacing rate before the first RTT sample arrives.
-  sim::SimTime pacing_initial_rtt{sim::SimTime::milliseconds(100)};
-  RttEstimator::Config rtt{};
-  CubicConfig cubic{};  ///< used when flavor == kCubic
-  BbrConfig bbr{};      ///< used when flavor == kBbr
-  DctcpConfig dctcp{};  ///< used when flavor == kDctcp
-};
-
-/// The strategy-facing slice of a TcpConfig.
-[[nodiscard]] CcConfig cc_config_from(const TcpConfig& config) noexcept;
-
 /// Sender-side counters for analysis.
 struct TcpSourceStats {
   std::uint64_t data_packets_sent{0};  ///< including retransmissions
@@ -99,7 +66,10 @@ class TcpSource final : public net::Agent {
 
   /// Registers on `host` for `flow`; data is addressed to node `dst`
   /// (the host where the matching TcpSink lives).
-  /// `flow_packets` < 0 means long-lived (never completes).
+  /// `flow_packets` < 0 means long-lived (never completes). Throws
+  /// std::invalid_argument for a segment outside [1, net::kMaxPacketBytes]
+  /// bytes, an initial_cwnd that is not finite or is below 1, or a
+  /// max_window below 1.
   TcpSource(sim::Simulation& sim, net::Host& host, net::NodeId dst, net::FlowId flow,
             TcpConfig config, std::int64_t flow_packets = -1);
   ~TcpSource() override;

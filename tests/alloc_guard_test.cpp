@@ -101,14 +101,16 @@ AllocCounts build_and_tear_down(int leaves) {
 }
 
 /// Allocations made while building and tearing down one world that runs a
-/// long-lived flow on each of its `flows` leaves. With `starts_only`, the
-/// world schedules one no-op event at each time a flow would start, in the
-/// same order, and builds no flow: what the N start events alone cost the
-/// scheduler's pending-event storage.
-AllocCounts build_and_tear_down_with_flows(int flows, bool starts_only = false) {
+/// long-lived `flavor` flow on each of its `flows` leaves. With
+/// `starts_only`, the world schedules one no-op event at each time a flow
+/// would start, in the same order, and builds no flow: what the N start
+/// events alone cost the scheduler's pending-event storage.
+AllocCounts build_and_tear_down_with_flows(int flows, bool starts_only = false,
+                                           tcp::TcpFlavor flavor = tcp::TcpFlavor::kNewReno) {
   net::DumbbellConfig cfg;
   cfg.num_leaves = flows;
-  const traffic::LongFlowWorkloadConfig workload_cfg;
+  traffic::LongFlowWorkloadConfig workload_cfg;
+  workload_cfg.tcp.flavor = flavor;
   std::vector<sim::SimTime> starts;
   if (starts_only) {
     sim::Simulation sim{1};
@@ -164,16 +166,20 @@ TEST(AllocationGuard, DumbbellTeardownFreesEveryAllocation) {
 
 TEST(AllocationGuard, LongFlowsAllocateNothingBeyondTheirStartEvents) {
   // The workload's two blocks aside, a flow registers on its hosts and
-  // builds its congestion control in place. What remains is the scheduler
-  // storing each flow's start event, which grows with the number of
-  // pending events rather than with flows, so it is measured on its own.
+  // builds its congestion control in place, whatever its flavor. What
+  // remains is the scheduler storing each flow's start event, which grows
+  // with the number of pending events rather than with flows, so it is
+  // measured on its own.
   (void)build_and_tear_down_with_flows(50);
-  for (const int flows : {50, 500}) {
-    const AllocCounts world = build_and_tear_down_with_flows(flows);
-    const AllocCounts starts = build_and_tear_down_with_flows(flows, /*starts_only=*/true);
-    EXPECT_EQ(world.allocations, starts.allocations + 2)
-        << flows << " flows: " << world.allocations << " allocations with the workload, "
-        << starts.allocations << " for its start events alone";
+  for (const tcp::TcpFlavor flavor : tcp::all_flavors()) {
+    for (const int flows : {50, 500}) {
+      const AllocCounts world = build_and_tear_down_with_flows(flows, false, flavor);
+      const AllocCounts starts = build_and_tear_down_with_flows(flows, /*starts_only=*/true);
+      EXPECT_EQ(world.allocations, starts.allocations + 2)
+          << tcp::flavor_name(flavor) << ", " << flows << " flows: " << world.allocations
+          << " allocations with the workload, " << starts.allocations
+          << " for its start events alone";
+    }
   }
 }
 

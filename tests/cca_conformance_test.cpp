@@ -72,7 +72,7 @@ TEST(FlavorNames, RoundTripForAllSix) {
 }
 
 TEST(FlavorNames, MachineryFlagsPerFlavor) {
-  const CcConfig cfg;
+  const TcpConfig cfg;
   for (const TcpFlavor f : all_flavors()) {
     CcHolder cc{f, cfg};
     EXPECT_EQ(cc->loss_restarts_slow_start(), f == TcpFlavor::kTahoe) << flavor_name(f);
@@ -91,7 +91,7 @@ TEST(FlavorNames, MachineryFlagsPerFlavor) {
 // ---------------------------------------------------------------------------
 
 std::uint64_t reno_family_trace_hash(TcpFlavor flavor) {
-  const CcConfig cfg;
+  const TcpConfig cfg;
   CcHolder cc{flavor, cfg};
   std::string trace;
   const auto snap = [&] {
@@ -152,7 +152,7 @@ TEST(RenoFamilyPins, RenoAndNewRenoDifferOnlyInMachineryFlags) {
   // The scripted trace above is identical for Reno and NewReno by design:
   // the flavors differ in *when* TcpSource calls the hooks (partial-ACK
   // repair), not in the arithmetic of the hooks themselves.
-  const CcConfig cfg;
+  const TcpConfig cfg;
   CcHolder reno{TcpFlavor::kReno, cfg};
   CcHolder newreno{TcpFlavor::kNewReno, cfg};
   EXPECT_FALSE(reno->partial_ack_repair());
@@ -164,7 +164,7 @@ TEST(RenoFamilyPins, RenoAndNewRenoDifferOnlyInMachineryFlags) {
 // ---------------------------------------------------------------------------
 
 TEST(CubicPins, WindowFunctionAndKMatchRfc8312) {
-  CcConfig cfg;
+  TcpConfig cfg;
   CubicCc cc{cfg};
   const auto t0 = SimTime::seconds(1);
 
@@ -180,19 +180,19 @@ TEST(CubicPins, WindowFunctionAndKMatchRfc8312) {
 
   // First CA ACK opens the epoch: K = cbrt((W_max − cwnd)/C).
   cc.on_acked_increase(make_ctx(t0, 0, 100), 0);
-  const double k_expected = std::cbrt((100.0 - 70.0) / cfg.cubic.c);
+  const double k_expected = std::cbrt((100.0 - 70.0) / CubicCc::kC);
   EXPECT_NEAR(cc.k(), k_expected, 1e-12);
 
   // W(t) = C·(t−K)³ + W_max: plateau at t = K, epoch window at t = 0,
   // convex probing beyond the plateau.
   EXPECT_DOUBLE_EQ(cc.cubic_window(cc.k()), cc.w_max());
   EXPECT_NEAR(cc.cubic_window(0.0), 70.0, 1e-9);
-  EXPECT_DOUBLE_EQ(cc.cubic_window(cc.k() + 2.0), 100.0 + cfg.cubic.c * 8.0);
+  EXPECT_DOUBLE_EQ(cc.cubic_window(cc.k() + 2.0), 100.0 + CubicCc::kC * 8.0);
   EXPECT_LT(cc.cubic_window(cc.k() - 1.0), cc.w_max());  // concave approach
 }
 
 TEST(CubicPins, FastConvergenceShrinksPlateauBelowWindow) {
-  CcConfig cfg;
+  TcpConfig cfg;
   CubicCc cc{cfg};
   const auto t0 = SimTime::seconds(1);
   cc.on_acked_increase(make_ctx(t0, 0, 100), 98);
@@ -202,23 +202,13 @@ TEST(CubicPins, FastConvergenceShrinksPlateauBelowWindow) {
   // Second loss below the previous plateau: another flow is claiming the
   // capacity, so release it early — W_max = cwnd·(2−β)/2 < cwnd (§4.6).
   cc.on_loss_detected(make_ctx(t0, 0, 70));
-  EXPECT_DOUBLE_EQ(cc.w_max(), 70.0 * (2.0 - cfg.cubic.beta) / 2.0);
+  EXPECT_DOUBLE_EQ(cc.w_max(), 70.0 * (2.0 - CubicCc::kBeta) / 2.0);
   EXPECT_LT(cc.w_max(), 70.0);
-  EXPECT_DOUBLE_EQ(cc.ssthresh(), 70.0 * cfg.cubic.beta);
-
-  // With fast convergence off, the plateau is simply the loss window.
-  CcConfig plain = cfg;
-  plain.cubic.fast_convergence = false;
-  CubicCc cc2{plain};
-  cc2.on_acked_increase(make_ctx(t0, 0, 100), 98);
-  cc2.on_loss_detected(make_ctx(t0, 0, 100));
-  cc2.on_recovery_exit(make_ctx(t0, 0, 100));
-  cc2.on_loss_detected(make_ctx(t0, 0, 70));
-  EXPECT_DOUBLE_EQ(cc2.w_max(), 70.0);
+  EXPECT_DOUBLE_EQ(cc.ssthresh(), 70.0 * CubicCc::kBeta);
 }
 
 TEST(CubicPins, HystartExitsSlowStartOnDelayIncrease) {
-  CcConfig cfg;
+  TcpConfig cfg;
   CubicCc cc{cfg};
   const auto t0 = SimTime::seconds(1);
   const auto min_rtt = SimTime::milliseconds(100);  // η = min_rtt/8 = 12.5 ms
@@ -235,19 +225,11 @@ TEST(CubicPins, HystartExitsSlowStartOnDelayIncrease) {
   EXPECT_DOUBLE_EQ(cc.ssthresh(), cc.cwnd());
   EXPECT_FALSE(cc.cwnd() < cc.ssthresh());
 
-  // Below hystart_low_window the exit must not fire (RFC 9406 §4.2).
+  // Below kHystartLowWindow the exit must not fire (RFC 9406 §4.2).
   CubicCc small{cfg};
   small.on_acked_increase(make_ctx(t0, 0, 100), 6);  // cwnd = 8
   small.on_ack(make_ctx(t0, 0, 100, min_rtt, min_rtt), 1, SimTime::milliseconds(200), 0);
   EXPECT_LT(small.cwnd(), small.ssthresh());
-
-  // And with HyStart disabled, only loss ends slow start.
-  CcConfig off = cfg;
-  off.cubic.hystart = false;
-  CubicCc cc2{off};
-  cc2.on_acked_increase(make_ctx(t0, 0, 100), 18);
-  cc2.on_ack(make_ctx(t0, 0, 100, min_rtt, min_rtt), 1, SimTime::milliseconds(200), 0);
-  EXPECT_LT(cc2.cwnd(), cc2.ssthresh());
 }
 
 // ---------------------------------------------------------------------------
@@ -258,7 +240,7 @@ TEST(CubicPins, HystartExitsSlowStartOnDelayIncrease) {
 
 class BbrDriver {
  public:
-  explicit BbrDriver(const CcConfig& cfg) : cc_{cfg} {}
+  explicit BbrDriver(const TcpConfig& cfg) : cc_{cfg} {}
 
   void round(std::int64_t pkts, SimTime rtt, SimTime rtt_sample,
              std::int64_t in_flight = 100) {
@@ -294,10 +276,10 @@ constexpr double kRttSec = 0.05;
 const SimTime kRtt = SimTime::milliseconds(50);
 
 TEST(BbrPins, StartupDrainProbeBwPhaseWalk) {
-  const CcConfig cfg;
+  const TcpConfig cfg;
   BbrDriver d{cfg};
   EXPECT_EQ(d.cc().phase(), BbrCc::Phase::kStartup);
-  EXPECT_DOUBLE_EQ(d.cc().pacing_gain(), cfg.bbr.startup_gain);
+  EXPECT_DOUBLE_EQ(d.cc().pacing_gain(), BbrCc::kStartupGain);
 
   // Constant 100 pkts per RTT: the first sample sets the baseline, and three
   // further samples without 25% growth declare the pipe full.
@@ -305,7 +287,7 @@ TEST(BbrPins, StartupDrainProbeBwPhaseWalk) {
     d.round(100, kRtt, kRtt);
   }
   ASSERT_EQ(d.cc().phase(), BbrCc::Phase::kDrain);
-  EXPECT_DOUBLE_EQ(d.cc().pacing_gain(), 1.0 / cfg.bbr.startup_gain);
+  EXPECT_DOUBLE_EQ(d.cc().pacing_gain(), 1.0 / BbrCc::kStartupGain);
   // Two calls per sample at 100 pkts each: the estimate is pkts/RTT.
   EXPECT_NEAR(d.cc().bandwidth_estimate(), 100.0 / kRttSec, 1e-6);
   EXPECT_EQ(d.cc().min_rtt_estimate(), kRtt);
@@ -319,7 +301,7 @@ TEST(BbrPins, StartupDrainProbeBwPhaseWalk) {
 }
 
 TEST(BbrPins, ProbeBwCyclesEightGainSlots) {
-  const CcConfig cfg;
+  const TcpConfig cfg;
   BbrDriver d{cfg};
   for (int i = 0; i < 12 && d.cc().phase() != BbrCc::Phase::kProbeBw; ++i) {
     d.round(100, kRtt, kRtt, 50);
@@ -338,7 +320,7 @@ TEST(BbrPins, ProbeBwCyclesEightGainSlots) {
 }
 
 TEST(BbrPins, ProbeRttDeflatesDwellsAndRestoresCwnd) {
-  const CcConfig cfg;
+  const TcpConfig cfg;
   BbrDriver d{cfg};
   for (int i = 0; i < 12 && d.cc().phase() != BbrCc::Phase::kProbeBw; ++i) {
     d.round(100, kRtt, kRtt, 50);
@@ -347,12 +329,12 @@ TEST(BbrPins, ProbeRttDeflatesDwellsAndRestoresCwnd) {
 
   // Grow cwnd to the ProbeBw target (cwnd_gain × BDP = 200 pkts).
   d.cc().on_acked_increase(d.ctx(), 500);
-  ASSERT_DOUBLE_EQ(d.cc().cwnd(), cfg.bbr.cwnd_gain * 100.0);
+  ASSERT_DOUBLE_EQ(d.cc().cwnd(), BbrCc::kCwndGain * 100.0);
   const double cruise_cwnd = d.cc().cwnd();
 
   // Let the min-RTT estimate go stale: samples above the floor for longer
   // than min_rtt_window force a ProbeRtt dwell.
-  d.advance(cfg.bbr.min_rtt_window + SimTime::seconds(1));
+  d.advance(BbrCc::kMinRttWindow + SimTime::seconds(1));
   d.deliver(100);
   d.cc().on_ack(d.ctx(), 100, kRtt + SimTime::milliseconds(5), 0);
   ASSERT_EQ(d.cc().phase(), BbrCc::Phase::kProbeRtt);
@@ -364,7 +346,7 @@ TEST(BbrPins, ProbeRttDeflatesDwellsAndRestoresCwnd) {
 
   // ...and on exit the saved window returns (bbr_restore_cwnd), instead of
   // being rebuilt +1 per ACK over ~8 round trips.
-  d.advance(cfg.bbr.probe_rtt_duration + SimTime::milliseconds(1));
+  d.advance(BbrCc::kProbeRttDuration + SimTime::milliseconds(1));
   d.deliver(100);
   d.cc().on_ack(d.ctx(), 100, kRtt + SimTime::milliseconds(5), 0);
   ASSERT_EQ(d.cc().phase(), BbrCc::Phase::kProbeBw);
@@ -372,7 +354,7 @@ TEST(BbrPins, ProbeRttDeflatesDwellsAndRestoresCwnd) {
 }
 
 TEST(BbrPins, LossTaintsDeliverySamplesInsteadOfCollapsingModel) {
-  const CcConfig cfg;
+  const TcpConfig cfg;
   BbrDriver d{cfg};
   for (int i = 0; i < 12 && d.cc().phase() != BbrCc::Phase::kProbeBw; ++i) {
     d.round(100, kRtt, kRtt, 50);
@@ -405,7 +387,7 @@ TEST(BbrPins, LossTaintsDeliverySamplesInsteadOfCollapsingModel) {
 }
 
 TEST(BbrPins, PacingIntervalIsGainTimesBandwidth) {
-  const CcConfig cfg;
+  const TcpConfig cfg;
   BbrDriver d{cfg};
   // Before any sample: cwnd spread over the fallback RTT, scaled by gain.
   const auto fallback = SimTime::milliseconds(40);
@@ -414,7 +396,7 @@ TEST(BbrPins, PacingIntervalIsGainTimesBandwidth) {
   EXPECT_DOUBLE_EQ(
       static_cast<double>(warm.ps()),
       std::floor(static_cast<double>(fallback.ps()) /
-                 (cfg.initial_cwnd * cfg.bbr.startup_gain)));
+                 (cfg.initial_cwnd * BbrCc::kStartupGain)));
 
   for (int i = 0; i < 12 && d.cc().phase() != BbrCc::Phase::kProbeBw; ++i) {
     d.round(100, kRtt, kRtt, 50);
@@ -428,7 +410,7 @@ TEST(BbrPins, PacingIntervalIsGainTimesBandwidth) {
 }
 
 TEST(BbrPins, EcnMarksAreIgnored) {
-  const CcConfig cfg;
+  const TcpConfig cfg;
   BbrCc cc{cfg};
   const double before = cc.cwnd();
   EXPECT_FALSE(cc.on_ecn_reduction(make_ctx(SimTime::seconds(1), 0, 100)));
@@ -440,50 +422,57 @@ TEST(BbrPins, EcnMarksAreIgnored) {
 // ---------------------------------------------------------------------------
 
 TEST(DctcpPins, AlphaEwmaTracksMarkedFraction) {
-  CcConfig cfg;
-  cfg.dctcp.initial_alpha = 0.0;
+  const TcpConfig cfg;
   DctcpCc cc{cfg};
-  const double g = cfg.dctcp.gain;
+  const double g = DctcpCc::kGain;
   ASSERT_DOUBLE_EQ(g, 1.0 / 16.0);
+  ASSERT_EQ(cc.alpha(), DctcpCc::kInitialAlpha);
+  ASSERT_EQ(DctcpCc::kInitialAlpha, 1.0);
 
-  // Fully marked windows: alpha_k = 1 − (1−g)^k (EWMA toward F = 1).
+  // Unmarked windows decay alpha geometrically from 1: alpha_k = (1−g)^k.
   std::int64_t una = 0;
   auto t = SimTime::seconds(1);
   for (int k = 1; k <= 20; ++k) {
     una += 10;
     t = t + kRtt;
-    cc.on_ack(make_ctx(t, una, una + 10), 10, kRtt, 10);
-    EXPECT_NEAR(cc.alpha(), 1.0 - std::pow(1.0 - g, k), 1e-12) << "window " << k;
+    cc.on_ack(make_ctx(t, una, una + 10), 10, kRtt, 0);
+    EXPECT_NEAR(cc.alpha(), std::pow(1.0 - g, k), 1e-12) << "window " << k;
   }
 
-  // Unmarked windows decay alpha geometrically toward zero.
-  const double peak = cc.alpha();
+  // Fully marked windows: EWMA toward F = 1, alpha_k = 1 − (1−trough)(1−g)^k.
+  const double trough = cc.alpha();
   for (int k = 1; k <= 10; ++k) {
     una += 10;
     t = t + kRtt;
-    cc.on_ack(make_ctx(t, una, una + 10), 10, kRtt, 0);
-    EXPECT_NEAR(cc.alpha(), peak * std::pow(1.0 - g, k), 1e-12) << "window " << k;
+    cc.on_ack(make_ctx(t, una, una + 10), 10, kRtt, 10);
+    EXPECT_NEAR(cc.alpha(), 1.0 - (1.0 - trough) * std::pow(1.0 - g, k), 1e-12)
+        << "window " << k;
   }
 
   // A half-marked window folds F = 1/2 with weight g.
   DctcpCc half{cfg};
   half.on_ack(make_ctx(SimTime::seconds(1), 10, 20), 10, kRtt, 5);
-  EXPECT_NEAR(half.alpha(), g * 0.5, 1e-15);
+  EXPECT_NEAR(half.alpha(), (1.0 - g) + g * 0.5, 1e-15);
 }
 
 TEST(DctcpPins, EcnCutIsProportionalToAlpha) {
-  CcConfig cfg;
-  cfg.dctcp.initial_alpha = 0.5;
+  const TcpConfig cfg;
   DctcpCc cc{cfg};
   cc.on_acked_increase(make_ctx(SimTime::seconds(1), 0, 100), 98);  // cwnd = 100
-  ASSERT_TRUE(cc.on_ecn_reduction(make_ctx(SimTime::seconds(1), 0, 100)));
-  // cwnd ← cwnd·(1 − α/2) = 100 · 0.75, a gentle cut — not Reno's halving.
-  EXPECT_DOUBLE_EQ(cc.cwnd(), 75.0);
-  EXPECT_DOUBLE_EQ(cc.ssthresh(), 75.0);
+  // Eight unmarked windows: alpha = (1−g)^8 ≈ 0.597, exact in binary.
+  for (std::int64_t una = 10; una <= 80; una += 10) {
+    cc.on_ack(make_ctx(SimTime::seconds(1), una, una + 10), 10, kRtt, 0);
+  }
+  const double alpha = std::pow(1.0 - DctcpCc::kGain, 8);
+  ASSERT_DOUBLE_EQ(cc.alpha(), alpha);
+  ASSERT_TRUE(cc.on_ecn_reduction(make_ctx(SimTime::seconds(1), 80, 100)));
+  // cwnd ← cwnd·(1 − α/2) ≈ 100 · 0.70, a gentle cut — not Reno's halving.
+  EXPECT_DOUBLE_EQ(cc.cwnd(), 100.0 * (1.0 - alpha / 2.0));
+  EXPECT_DOUBLE_EQ(cc.ssthresh(), 100.0 * (1.0 - alpha / 2.0));
 }
 
 TEST(DctcpPins, SaturatedAlphaHalvesLikeReno) {
-  CcConfig cfg;  // initial_alpha = 1.0: conservative until the EWMA warms up
+  const TcpConfig cfg;  // kInitialAlpha = 1.0: conservative until the EWMA warms up
   DctcpCc cc{cfg};
   cc.on_acked_increase(make_ctx(SimTime::seconds(1), 0, 100), 98);
   ASSERT_TRUE(cc.on_ecn_reduction(make_ctx(SimTime::seconds(1), 0, 100)));
@@ -491,7 +480,7 @@ TEST(DctcpPins, SaturatedAlphaHalvesLikeReno) {
 }
 
 TEST(DctcpPins, LossFallsBackToRenoHalving) {
-  const CcConfig cfg;
+  const TcpConfig cfg;
   DctcpCc cc{cfg};
   cc.on_acked_increase(make_ctx(SimTime::seconds(1), 0, 100), 98);
   cc.on_loss_detected(make_ctx(SimTime::seconds(1), 0, 100));  // flight = 100
@@ -509,7 +498,7 @@ TEST(DctcpPins, LossFallsBackToRenoHalving) {
 class CcaAxioms : public ::testing::TestWithParam<TcpFlavor> {};
 
 TEST_P(CcaAxioms, RandomizedEventSequencesKeepStateSane) {
-  const CcConfig cfg;
+  const TcpConfig cfg;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     sim::Rng rng{seed * 7919};
     CcHolder cc{GetParam(), cfg};
@@ -589,7 +578,7 @@ TEST_P(CcaAxioms, RandomizedEventSequencesKeepStateSane) {
 }
 
 TEST_P(CcaAxioms, TimeoutAlwaysCollapsesToOnePacket) {
-  const CcConfig cfg;
+  const TcpConfig cfg;
   CcHolder cc{GetParam(), cfg};
   cc->on_acked_increase(make_ctx(SimTime::seconds(1), 0, 64), 62);
   cc->on_timeout(make_ctx(SimTime::seconds(1), 0, 64), false);
@@ -598,7 +587,7 @@ TEST_P(CcaAxioms, TimeoutAlwaysCollapsesToOnePacket) {
 
 TEST_P(CcaAxioms, WindowCcasSpreadOneCwndOverOneRtt) {
   if (GetParam() == TcpFlavor::kBbr) return;  // rate-based: pinned above
-  const CcConfig cfg;
+  const TcpConfig cfg;
   CcHolder cc{GetParam(), cfg};
   const auto ctx = make_ctx(SimTime::seconds(1), 0, 10);
   const auto srtt = SimTime::milliseconds(100);

@@ -8,8 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <map>
 #include <set>
+#include <stdexcept>
 #include <vector>
 
 #include "net/node.hpp"
@@ -390,6 +393,43 @@ TEST_F(TcpSourceTest, StaleAcksAreIgnored) {
   source_->on_packet(stale);
   EXPECT_TRUE(source_->finished());
   EXPECT_EQ(source_->stats().acks_received, acks);  // finished flows ignore input
+}
+
+TEST_F(TcpSourceTest, HostileConfigThrows) {
+  const auto with = [](auto edit) {
+    TcpConfig cfg;
+    edit(cfg);
+    return cfg;
+  };
+  const std::vector<TcpConfig> hostile{
+      with([](TcpConfig& c) { c.segment = core::Bytes{0}; }),
+      with([](TcpConfig& c) { c.segment = core::Bytes{-1000}; }),
+      with([](TcpConfig& c) { c.segment = core::Bytes{net::kMaxPacketBytes + 1}; }),
+      with([](TcpConfig& c) { c.initial_cwnd = 0.5; }),
+      with([](TcpConfig& c) { c.initial_cwnd = -2.0; }),
+      with([](TcpConfig& c) { c.initial_cwnd = std::nan(""); }),
+      with([](TcpConfig& c) { c.initial_cwnd = std::numeric_limits<double>::infinity(); }),
+      with([](TcpConfig& c) { c.max_window = 0; }),
+      with([](TcpConfig& c) { c.max_window = -5; }),
+  };
+  // A rejected source must leave nothing registered on the sender host: the
+  // valid builds below reuse flow 1.
+  const auto build = [this](const TcpConfig& cfg) {
+    const TcpSource source{sim_, sender_host_, receiver_host_.id(), 1, cfg};
+  };
+  for (std::size_t i = 0; i < hostile.size(); ++i) {
+    EXPECT_THROW(build(hostile[i]), std::invalid_argument) << "case " << i;
+  }
+  // The bounds themselves are valid.
+  EXPECT_NO_THROW(build(with([](TcpConfig& c) { c.segment = core::Bytes{1}; })));
+  make_flow(-1, with([](TcpConfig& c) {
+    c.segment = core::Bytes{net::kMaxPacketBytes};
+    c.initial_cwnd = 1.0;
+    c.max_window = 1;
+  }));
+  source_->start(SimTime::zero());
+  sim_.run_until(1_ms);
+  EXPECT_EQ(source_->snd_nxt(), 1);
 }
 
 TEST_F(TcpSourceTest, DeterministicAcrossRuns) {
