@@ -191,8 +191,8 @@ void BbrCc::push_bw_sample(double bw) noexcept {
   bw_window_[static_cast<std::size_t>(round_count_ % kBwFilterRounds)] = {round_count_, bw};
   const std::int64_t horizon = round_count_ - kBwFilterRounds;
   btl_bw_ = bw;
-  for (const BwSample& s : bw_window_) {
-    if (s.round > horizon) btl_bw_ = std::max(btl_bw_, s.bw);
+  for (const auto& [round, sample] : bw_window_) {
+    if (round > horizon) btl_bw_ = std::max(btl_bw_, sample);
   }
 }
 

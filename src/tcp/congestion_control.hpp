@@ -19,9 +19,9 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <string_view>
+#include <utility>
 #include <variant>
 
 #include "core/units.hpp"
@@ -299,13 +299,6 @@ class BbrCc final : public CongestionControl {
   void advance_state(const CcContext& ctx) noexcept;
   void enter_probe_bw(sim::SimTime now) noexcept;
 
-  /// One per-round delivery-rate sample. A slot whose round lies outside
-  /// the last kBwFilterRounds rounds is stale (the initial round is).
-  struct BwSample {
-    std::int64_t round{std::numeric_limits<std::int64_t>::min()};
-    double bw{0.0};
-  };
-
   Phase phase_{Phase::kStartup};
   double pacing_gain_{kStartupGain};
   double cwnd_gain_{kStartupGain};
@@ -318,8 +311,9 @@ class BbrCc final : public CongestionControl {
   std::int64_t round_count_{0};
   sim::SimTime round_start_time_{};
   bool round_time_valid_{false};
-  /// Max filter: the sample of round r sits in slot r % kBwFilterRounds.
-  std::array<BwSample, kBwFilterRounds> bw_window_{};
+  /// (round, sample) max filter: round r's sample sits in slot
+  /// r % kBwFilterRounds. An unwritten slot reads (0, 0.0), below no sample.
+  std::array<std::pair<std::int64_t, double>, kBwFilterRounds> bw_window_{};
   double btl_bw_{0.0};  ///< packets per second
   /// Rounds whose end marker lies below this sequence delivered data that
   /// was outstanding at a loss/timeout, where a retransmission that fills a

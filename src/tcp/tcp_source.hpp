@@ -14,7 +14,6 @@
 #include <cstdint>
 #include <functional>
 
-#include "core/units.hpp"
 #include "net/node.hpp"
 #include "net/packet.hpp"
 #include "sim/simulation.hpp"
