@@ -11,10 +11,16 @@
 
 namespace rbs::tcp {
 
-namespace {
-
-/// `config`, once its segment and windows are checked (see the constructor).
-const TcpConfig& checked(const TcpConfig& config) {
+TcpSource::TcpSource(sim::Simulation& sim, net::Host& host, net::NodeId dst, net::FlowId flow,
+                     TcpConfig config, std::int64_t flow_packets)
+    : sim_{sim},
+      host_{host},
+      dst_{dst},
+      flow_{flow},
+      config_{config},
+      flow_packets_{flow_packets},
+      rtt_{config.rtt},
+      cc_{config.flavor, config} {
   const std::int64_t segment = config.segment.count();
   if (segment < 1 || segment > net::kMaxPacketBytes) {
     throw std::invalid_argument("TcpConfig: segment must be 1 to " +
@@ -27,21 +33,6 @@ const TcpConfig& checked(const TcpConfig& config) {
   if (config.max_window < 1) {
     throw std::invalid_argument("TcpConfig: max_window must be at least 1");
   }
-  return config;
-}
-
-}  // namespace
-
-TcpSource::TcpSource(sim::Simulation& sim, net::Host& host, net::NodeId dst, net::FlowId flow,
-                     TcpConfig config, std::int64_t flow_packets)
-    : sim_{sim},
-      host_{host},
-      dst_{dst},
-      flow_{flow},
-      config_{checked(config)},
-      flow_packets_{flow_packets},
-      rtt_{config.rtt},
-      cc_{config.flavor, config} {
   host_.register_agent(flow_, *this);
 }
 
